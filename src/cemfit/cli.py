@@ -10,7 +10,6 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import dataclass
 
 from .censoring import (
     CensoredSample,
@@ -35,24 +34,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
-
-
-@dataclass
-class RunReport:
-    """Everything a fit run produced; re-running with ``config`` reproduces it."""
-
-    config: FitConfig
-    trace: FitTrace
-    converged: bool
-    wall_time: float
-
-    @property
-    def final(self):
-        return self.trace.final
-
-    @property
-    def loglik(self) -> float:
-        return self.trace.rows[-1].loglik
 
 
 def _build_parser() -> _Parser:
@@ -157,20 +138,20 @@ def _cmd_fit(args) -> int:
         fitter = fit_em if algorithm is Algorithm.EM else fit_mcem
         trace = fitter(sample, config)
         extra = f"iterations: {trace.iterations}"
-    report = RunReport(config, trace, trace.converged, time.perf_counter() - t0)
+    wall_time = time.perf_counter() - t0
     if algorithm is not Algorithm.DIRECT:
         _print_trace(trace)
     if args.trace:
         trace.write_csv(args.trace)
 
-    final = report.final
+    final = trace.final
     summary = "  ".join(
         f"{name}={value:.4f}" for name, value in zip(final.param_names, final.reported())
     )
-    print(f"final: {summary}  loglik={report.loglik:.4f}")
-    print(f"{extra}  converged: {'yes' if report.converged else 'no'}")
-    print(f"wall time: {report.wall_time:.3f}s")
-    return 0 if report.converged else 2
+    print(f"final: {summary}  loglik={trace.rows[-1].loglik:.4f}")
+    print(f"{extra}  converged: {'yes' if trace.converged else 'no'}")
+    print(f"wall time: {wall_time:.3f}s")
+    return 0 if trace.converged else 2
 
 
 def _cmd_convert_type2(args) -> int:

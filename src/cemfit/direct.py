@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from .censoring import CensoredSample, ensure_fittable, observed_loglik
-from .distributions import Family, Laplace, Normal, ParamSet, Rayleigh
+from .distributions import Family, Laplace, ParamSet, Rayleigh
 from .exceptions import NonConvergenceError, ParameterError
 from .fitting import Algorithm, FitConfig, default_start
 
@@ -45,29 +45,15 @@ class OptimizerReport:
     gradient_norm: float
 
 
-def _params_from_reported(family: Family, vec) -> ParamSet:
-    if family is Family.NORMAL:
-        return Normal(vec[0], vec[1] * vec[1])
-    if family is Family.LAPLACE:
-        return Laplace(vec[0], vec[1])
-    return Rayleigh(vec[0])
-
-
 def _pack(params: ParamSet) -> np.ndarray:
-    """Map to the unconstrained search space (scales on the log axis)."""
-    if isinstance(params, Normal):
-        return np.array([params.mu, math.log(params.sigma)])
-    if isinstance(params, Laplace):
-        return np.array([params.mu, math.log(params.sigma)])
-    return np.array([math.log(params.beta)])
+    """Map to the unconstrained search space (the scale, last, on the log axis)."""
+    *loc, scale = params.reported()
+    return np.array([*loc, math.log(scale)])
 
 
-def _unpack(family: Family, x: np.ndarray) -> ParamSet:
-    if family is Family.NORMAL:
-        return Normal(float(x[0]), math.exp(2.0 * float(x[1])))
-    if family is Family.LAPLACE:
-        return Laplace(float(x[0]), math.exp(float(x[1])))
-    return Rayleigh(math.exp(float(x[0])))
+def _unpack(cls: type, x: np.ndarray) -> ParamSet:
+    *loc, log_scale = (float(v) for v in x)
+    return cls.from_reported(*loc, math.exp(log_scale))
 
 
 def loglik_gradient_norm(sample: CensoredSample, params: ParamSet) -> float:
@@ -77,6 +63,7 @@ def loglik_gradient_norm(sample: CensoredSample, params: ParamSet) -> float:
     not variance) with step 1e-6 times the coordinate's magnitude.
     """
     vec = list(params.reported())
+    make = type(params).from_reported
     grads = []
     for j in range(len(vec)):
         h = 1e-6 * max(1.0, abs(vec[j]))
@@ -86,28 +73,25 @@ def loglik_gradient_norm(sample: CensoredSample, params: ParamSet) -> float:
         hi, lo = list(vec), list(vec)
         hi[j] += h
         lo[j] -= h
-        f_hi = observed_loglik(sample, _params_from_reported(params.family, hi))
-        f_lo = observed_loglik(sample, _params_from_reported(params.family, lo))
+        f_hi = observed_loglik(sample, make(*hi))
+        f_lo = observed_loglik(sample, make(*lo))
         grads.append((f_hi - f_lo) / (2.0 * h))
     return float(np.sqrt(math.fsum(g * g for g in grads)))
 
 
-def _start_list(family: Family, base: ParamSet, n_starts: int) -> list[ParamSet]:
-    """Deterministic fan of perturbed starts around the moment estimate."""
+def _start_list(base: ParamSet, n_starts: int) -> list[ParamSet]:
+    """Deterministic fan of perturbed starts around the moment estimate.
+
+    In reported coordinates, start j at level (j + 1) // 2 shifts the
+    location by +-level/2 scales and multiplies the scale by 2**(+-level).
+    """
+    *loc, scale = base.reported()
     starts = [base]
     for j in range(1, n_starts):
         level = (j + 1) // 2
         sign = 1.0 if j % 2 == 1 else -1.0
-        factor = 2.0 ** (sign * level)
-        if isinstance(base, Rayleigh):
-            starts.append(Rayleigh(base.beta * factor))
-        else:
-            loc = base.mu + sign * 0.5 * level * base.sigma
-            cls = type(base)
-            if isinstance(base, Normal):
-                starts.append(Normal(loc, base.sigma2 * factor * factor))
-            else:
-                starts.append(cls(loc, base.sigma * factor))
+        shifted = [v + sign * 0.5 * level * scale for v in loc]
+        starts.append(type(base).from_reported(*shifted, scale * 2.0 ** (sign * level)))
     return starts
 
 
@@ -154,15 +138,16 @@ def fit_direct(sample: CensoredSample, config: FitConfig, n_starts: int = 5) -> 
     family = config.family
     ensure_fittable(sample, family)
     base = config.start if config.start is not None else default_start(sample, family)
+    cls = type(base)
 
     def objective(x):
         try:
-            return -observed_loglik(sample, _unpack(family, x))
+            return -observed_loglik(sample, _unpack(cls, x))
         except (ParameterError, OverflowError):
             return math.inf
 
     best = None
-    for s in _start_list(family, base, n_starts):
+    for s in _start_list(base, n_starts):
         res = minimize(
             objective,
             _pack(s),
@@ -171,7 +156,7 @@ def fit_direct(sample: CensoredSample, config: FitConfig, n_starts: int = 5) -> 
         )
         if best is None or res.fun < best.fun:
             best = res
-    argmax = _unpack(family, best.x)
+    argmax = _unpack(cls, best.x)
     if family is Family.LAPLACE:
         argmax = _canonicalize_laplace(sample, argmax)
     loglik = observed_loglik(sample, argmax)

@@ -1,22 +1,23 @@
 """Parametric families: normal, Laplace, and Rayleigh.
 
-Each family is a frozen dataclass that carries its parameters and exposes
-``pdf``, ``cdf``, ``survival``, ``quantile`` plus the log-space variants the
-censored likelihood needs.  Methods accept scalars or numpy arrays and stay
-accurate far into the tails: the normal cdf/survival go through the
-complementary error function, the inverse cdf is a rational approximation
-polished by one Newton step, and the Mills ratio uses the scaled
-complementary error function so it never underflows.
+Each family is a frozen dataclass that carries its natural parameters and
+exposes ``pdf``, ``cdf``, ``survival``, ``quantile`` plus the log-space
+variants the censored likelihood needs; ``from_reported`` inverts
+``reported()``.  Methods accept scalars or numpy arrays and stay accurate far
+into the tails: the normal cdf/survival go through the complementary error
+function, the quantile and log-survival are SciPy's ``ndtri`` and
+``log_ndtr``, and the Mills ratio uses the scaled complementary error
+function so it never underflows.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import erfc, erfcx
+from scipy.special import erfc, erfcx, log_ndtr, ndtri
 
 from .exceptions import ParameterError
 
@@ -79,23 +80,13 @@ def norm_sf(z):
 
 
 def norm_logsf(z):
-    """log of the standard normal survival function.
+    """log of the standard normal survival function, as SciPy's ``log_ndtr(-z)``.
 
-    Stays finite for arbitrarily large ``z``: beyond the range where erfc is
-    representable the tail is evaluated through its asymptotic series.
+    Finite for arbitrarily large ``z``, and accurate for negative ``z`` as
+    well, where log(0.5 * erfc(z / sqrt 2)) of a value near 1 loses digits.
     """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    direct = z <= 26.0
-    if np.any(direct):
-        out[direct] = np.log(0.5 * erfc(z[direct] / _SQRT2))
-    if np.any(~direct):
-        zz = z[~direct]
-        inv2 = 1.0 / (zz * zz)
-        # log(phi(z)/z) + log(1 - 1/z^2 + 3/z^4 - 15/z^6 + 105/z^8 - ...)
-        series = inv2 * (-1.0 + inv2 * (3.0 + inv2 * (-15.0 + inv2 * 105.0)))
-        out[~direct] = -0.5 * zz * zz - np.log(zz) - _LOG_SQRT_2PI + np.log1p(series)
-    return _maybe_float(out)
+    return _maybe_float(log_ndtr(-z))
 
 
 def mills_ratio(a):
@@ -103,7 +94,9 @@ def mills_ratio(a):
 
     The nonnegative branch uses the scaled complementary error function, so
     the ratio is accurate to machine precision for any ``a`` without the
-    intermediate underflow of pdf and survival separately.
+    intermediate underflow of pdf and survival separately.  The negative
+    branch divides pdf by survival: erfcx overflows there, so the scaled
+    form alone would return 0 instead of ~1e-314 at a = -38.
     """
     a = np.asarray(a, dtype=float)
     out = np.empty_like(a)
@@ -116,46 +109,6 @@ def mills_ratio(a):
     return _maybe_float(out)
 
 
-# Rational approximation for the lower-tail inverse normal cdf (relative
-# error below 1.2e-9 on its own; one Newton/Halley polish brings it to
-# machine precision).
-_PPF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_PPF_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_PPF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_PPF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
-_PPF_SPLIT = 0.02425
-
-
-def _ppf_lower(p):
-    """Inverse standard normal cdf for p in (0, 0.5]; returns values <= 0."""
-    a, b, c, d = _PPF_A, _PPF_B, _PPF_C, _PPF_D
-    x = np.empty_like(p)
-    tail = p < _PPF_SPLIT
-    if np.any(tail):
-        q = np.sqrt(-2.0 * np.log(p[tail]))
-        x[tail] = ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-                   / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    if np.any(~tail):
-        q = p[~tail] - 0.5
-        r = q * q
-        x[~tail] = ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-                    / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0))
-    # One Halley step against the erfc-based cdf.  Skipped where the density
-    # underflows (|x| > ~38); there the rational start is already as good as
-    # doubles allow.
-    phi = np.exp(-0.5 * x * x) / _SQRT_2PI
-    ok = phi > 0.0
-    if np.any(ok):
-        err = 0.5 * erfc(-x[ok] / _SQRT2) - p[ok]
-        step = err / phi[ok]
-        x[ok] -= step / (1.0 + 0.5 * x[ok] * step)
-    return x
-
-
 def norm_ppf(u):
     """Inverse standard normal cdf for u in the open interval (0, 1)."""
     u = np.asarray(u, dtype=float)
@@ -164,7 +117,7 @@ def norm_ppf(u):
     upper = u > 0.5
     # 1 - u is exact for u >= 0.5, so the two halves are symmetric bitwise.
     p = np.where(upper, 1.0 - u, u)
-    x = _ppf_lower(p)
+    x = ndtri(p)
     return _maybe_float(np.where(upper, -x, x))
 
 
@@ -194,8 +147,16 @@ class Normal:
         return math.sqrt(self.sigma2)
 
     def reported(self) -> tuple[float, ...]:
-        """Parameters as displayed in traces and summaries: (mu, sigma)."""
+        """Parameters as displayed in traces and summaries: (mu, sigma).
+
+        In every family the scale is the last reported coordinate and is
+        positive; ``from_reported`` inverts this map.
+        """
         return (self.mu, self.sigma)
+
+    @classmethod
+    def from_reported(cls, mu: float, sigma: float) -> "Normal":
+        return cls(mu, sigma * sigma)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -241,6 +202,10 @@ class Laplace:
 
     def reported(self) -> tuple[float, ...]:
         return (self.mu, self.sigma)
+
+    @classmethod
+    def from_reported(cls, mu: float, sigma: float) -> "Laplace":
+        return cls(mu, sigma)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -298,6 +263,10 @@ class Rayleigh:
     def reported(self) -> tuple[float, ...]:
         return (self.beta,)
 
+    @classmethod
+    def from_reported(cls, beta: float) -> "Rayleigh":
+        return cls(beta)
+
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         b2 = self.beta * self.beta
@@ -338,23 +307,21 @@ class Rayleigh:
 ParamSet = Normal | Laplace | Rayleigh
 
 
+_CLASSES = {Family.NORMAL: Normal, Family.LAPLACE: Laplace, Family.RAYLEIGH: Rayleigh}
+
+
 def make_params(family: Family, values) -> ParamSet:
     """Build a parameter set from its natural parameter vector.
 
     Natural parameters are (mu, sigma2) for the normal family, (mu, sigma)
     for Laplace, and (beta,) for Rayleigh.
     """
+    cls = _CLASSES.get(family)
+    if cls is None:
+        raise ParameterError(f"unknown family: {family!r}")
     values = tuple(float(v) for v in values)
-    if family is Family.NORMAL:
-        if len(values) != 2:
-            raise ParameterError("normal family takes two parameters: mu, sigma2")
-        return Normal(*values)
-    if family is Family.LAPLACE:
-        if len(values) != 2:
-            raise ParameterError("Laplace family takes two parameters: mu, sigma")
-        return Laplace(*values)
-    if family is Family.RAYLEIGH:
-        if len(values) != 1:
-            raise ParameterError("Rayleigh family takes one parameter: beta")
-        return Rayleigh(*values)
-    raise ParameterError(f"unknown family: {family!r}")
+    names = [f.name for f in fields(cls)]
+    if len(values) != len(names):
+        raise ParameterError(f"{family.value} family takes {len(names)} "
+                             f"parameter(s): {', '.join(names)}")
+    return cls(*values)

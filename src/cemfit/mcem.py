@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .censoring import CensoredSample, ensure_fittable, observed_loglik
-from .distributions import Family, Laplace, Normal, ParamSet, Rayleigh
+from .distributions import Family, Laplace, Normal, Rayleigh
 from .exceptions import DegenerateDataError, ParameterError
 from .fitting import Algorithm, FitConfig, FitTrace, TraceRow, default_start
 from .streams import RandomStream
@@ -115,18 +115,16 @@ class MonteCarloAccumulator:
         return math.fsum(float(np.abs(b - center).sum()) for b in self.blocks)
 
 
-def _draw_blocks(sample, params: ParamSet, k: int, stream: RandomStream) -> list[np.ndarray]:
-    """K conditional draws per censored unit, one substream per unit."""
+def _draw_blocks(sample, k: int, stream: RandomStream, sampler, *params) -> list[np.ndarray]:
+    """K draws ``sampler(*params, bound, u)`` per censored unit, one substream per unit.
+
+    The steps pass this module's ``sample_truncated_*`` by name, so a wrapper
+    installed on those names (``perfbench/tracing.py``) sees every draw.
+    """
     blocks = []
     for idx, bound in zip(sample.censored_indices, sample.censor_times):
         u = stream.substream(int(idx)).uniforms(k)
-        if isinstance(params, Normal):
-            z = sample_truncated_normal(params.mu, params.sigma, float(bound), u)
-        elif isinstance(params, Laplace):
-            z = sample_truncated_laplace(params.mu, params.sigma, float(bound), u)
-        else:
-            z = sample_truncated_rayleigh(params.beta, float(bound), u)
-        blocks.append(np.asarray(z))
+        blocks.append(np.asarray(sampler(*params, float(bound), u)))
     return blocks
 
 
@@ -138,7 +136,8 @@ def mcem_step_normal(sample: CensoredSample, params: Normal, k: int,
     sweep); unit substreams are derived from it.
     """
     y = sample.uncensored
-    acc = MonteCarloAccumulator.from_blocks(_draw_blocks(sample, params, k, stream))
+    acc = MonteCarloAccumulator.from_blocks(
+        _draw_blocks(sample, k, stream, sample_truncated_normal, params.mu, params.sigma))
     n = sample.n
     mean = (math.fsum(y) + acc.v1 / k) / n
     var = (math.fsum(y * y) + acc.v2 / k) / n - mean * mean
@@ -156,7 +155,8 @@ def mcem_step_laplace(sample: CensoredSample, params: Laplace, k: int,
     scale update is the mean absolute deviation about the new location.
     """
     y = sample.uncensored
-    acc = MonteCarloAccumulator.from_blocks(_draw_blocks(sample, params, k, stream))
+    acc = MonteCarloAccumulator.from_blocks(
+        _draw_blocks(sample, k, stream, sample_truncated_laplace, params.mu, params.sigma))
     values = np.concatenate([y] + [b for b in acc.blocks]) if acc.blocks else y.copy()
     weights = np.concatenate([
         np.full(y.size, k, dtype=np.int64),
@@ -173,7 +173,8 @@ def mcem_step_rayleigh(sample: CensoredSample, params: Rayleigh, k: int,
                        stream: RandomStream) -> Rayleigh:
     """One Monte Carlo EM sweep for the Rayleigh family."""
     y = sample.uncensored
-    acc = MonteCarloAccumulator.from_blocks(_draw_blocks(sample, params, k, stream))
+    acc = MonteCarloAccumulator.from_blocks(
+        _draw_blocks(sample, k, stream, sample_truncated_rayleigh, params.beta))
     b2 = (math.fsum(y * y) + acc.v2 / k) / (2.0 * sample.n)
     if not (b2 > 0.0):
         raise DegenerateDataError(f"update produced nonpositive squared scale {b2:.3e}")

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .distributions import norm_cdf, norm_ppf, norm_sf
+from .distributions import _maybe_float, norm_cdf, norm_ppf, norm_sf
 from .exceptions import ParameterError, TailUnderflowError
 
 __all__ = [
@@ -33,11 +33,6 @@ def _check_uniforms(u):
 def _strictly_above(x, lower: float):
     """Guard against a rounded-down draw landing exactly on the bound."""
     return np.maximum(x, math.nextafter(lower, math.inf))
-
-
-def _maybe_float(x):
-    x = np.asarray(x)
-    return float(x) if x.ndim == 0 else x
 
 
 def sample_truncated_normal(mu: float, sigma: float, lower: float, u):

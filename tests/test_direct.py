@@ -8,6 +8,7 @@ import pytest
 from cemfit.censoring import CensoredSample, observed_loglik
 from cemfit.datasets import example_laplace, example_normal, example_rayleigh
 from cemfit.direct import (
+    _start_list,
     fit_direct,
     loglik_gradient_norm,
     rayleigh_mle_closed_form,
@@ -227,3 +228,20 @@ class TestGuards:
     def test_gradient_norm_is_large_away_from_the_mle(self):
         sample = example_normal()
         assert loglik_gradient_norm(sample, Normal(1.0, 1.0)) > 1.0
+
+
+class TestStartFan:
+    @pytest.mark.parametrize("base", [Normal(1.7, 0.09), Laplace(-2.5, 0.3)], ids=repr)
+    def test_location_scale_fan(self, base):
+        mu, s = base.reported()
+        expected = [(mu, s), (mu + s / 2, 2 * s), (mu - s / 2, s / 2),
+                    (mu + s, 4 * s), (mu - s, s / 4)]
+        starts = _start_list(base, 5)
+        assert all(type(p) is type(base) for p in starts)
+        for got, want in zip(starts, expected, strict=True):
+            assert got.reported() == pytest.approx(want, rel=1e-15, abs=0)
+
+    def test_rayleigh_fan(self):
+        beta = 6.1341
+        starts = _start_list(Rayleigh(beta), 5)
+        assert [p.beta for p in starts] == [beta * f for f in (1, 2, 0.5, 4, 0.25)]

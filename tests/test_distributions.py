@@ -304,3 +304,25 @@ class TestConstruction:
         assert Family("normal") is Family.NORMAL
         assert Family("laplace") is Family.LAPLACE
         assert Family("rayleigh") is Family.RAYLEIGH
+
+
+class TestReportedCoordinates:
+    @pytest.mark.parametrize("params", all_params(), ids=repr)
+    def test_from_reported_inverts_reported(self, params):
+        back = type(params).from_reported(*params.reported())
+        if isinstance(params, Normal):
+            assert back.mu == params.mu
+            assert abs(back.sigma2 - params.sigma2) <= 2 * math.ulp(params.sigma2)
+        else:
+            assert back == params
+
+    @pytest.mark.parametrize("params", all_params(), ids=repr)
+    def test_scale_is_last_and_positive(self, params):
+        assert params.reported()[-1] > 0.0
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_make_params_rejects_wrong_arity(self, family):
+        arity = len(PARAM_GRID[family][0])
+        for n in {0, arity - 1, arity + 1}:
+            with pytest.raises(ParameterError):
+                make_params(family, (1.0,) * n)
