@@ -98,6 +98,11 @@ class CensoredSample:
     def __len__(self) -> int:
         return self.n
 
+    def to_csv(self) -> str:
+        """Serialize with header ``w,delta``; ``repr`` keeps values round-tripping exactly."""
+        lines = ["w,delta"] + [f"{float(v)!r},{int(d)}" for v, d in zip(self._w, self._delta)]
+        return "\n".join(lines) + "\n"
+
     def __repr__(self) -> str:
         return f"CensoredSample(n={self.n}, m={self.m})"
 
@@ -221,7 +226,4 @@ def read_censored_csv(path) -> CensoredSample:
 def write_censored_csv(path, sample: CensoredSample) -> None:
     """Write the sample as CSV with header ``w,delta``; values round-trip exactly."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["w", "delta"])
-        for value, flag in zip(sample.w, sample.delta):
-            writer.writerow([repr(float(value)), int(flag)])
+        fh.write(sample.to_csv())

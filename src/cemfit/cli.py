@@ -7,7 +7,6 @@ Exit codes: 0 on success/convergence, 2 when a fit fails to converge,
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 
@@ -89,10 +88,7 @@ def _parse_values(text: str) -> tuple[float, ...]:
 
 def _emit_sample(sample: CensoredSample, path: str | None) -> None:
     if path is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["w", "delta"])
-        for value, flag in zip(sample.w, sample.delta):
-            writer.writerow([repr(float(value)), int(flag)])
+        sys.stdout.write(sample.to_csv())
     else:
         write_censored_csv(path, sample)
 

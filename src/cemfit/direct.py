@@ -45,6 +45,10 @@ class OptimizerReport:
     gradient_norm: float
 
 
+# Simplex searches per fit: the start and two perturbations on each side.
+_N_STARTS = 5
+
+
 def _pack(params: ParamSet) -> np.ndarray:
     """Map to the unconstrained search space (the scale, last, on the log axis)."""
     *loc, scale = params.reported()
@@ -126,12 +130,12 @@ def _canonicalize_laplace(sample: CensoredSample, best: Laplace) -> Laplace:
     return best
 
 
-def fit_direct(sample: CensoredSample, config: FitConfig, n_starts: int = 5) -> OptimizerReport:
-    """Maximize the censored-data log-likelihood by multi-start simplex search.
-
-    Only ``config.family`` and ``config.start`` are consulted (the search has
-    no tuning knobs beyond the start).  Raises :class:`NonConvergenceError`
-    (with the best report attached as ``.report``) if no start converges.
+def fit_direct(sample: CensoredSample, config: FitConfig) -> OptimizerReport:
+    """Maximize the censored-data log-likelihood by simplex search from the
+    ``_N_STARTS`` starts that ``_start_list`` fans around ``config.start``
+    (default: the family's moment start); no other config field is consulted.
+    Raises :class:`NonConvergenceError` (with the best report attached as
+    ``.report``) if no start converges.
     """
     if config.algorithm is not Algorithm.DIRECT:
         raise ParameterError(f"fit_direct called with algorithm {config.algorithm}")
@@ -147,7 +151,7 @@ def fit_direct(sample: CensoredSample, config: FitConfig, n_starts: int = 5) -> 
             return math.inf
 
     best = None
-    for s in _start_list(base, n_starts):
+    for s in _start_list(base, _N_STARTS):
         res = minimize(
             objective,
             _pack(s),
@@ -165,7 +169,7 @@ def fit_direct(sample: CensoredSample, config: FitConfig, n_starts: int = 5) -> 
     report = OptimizerReport(argmax, loglik, int(best.nit), converged, grad)
     if not best.success:
         err = NonConvergenceError(
-            f"simplex search did not converge from any of {n_starts} starts"
+            f"simplex search did not converge from any of {_N_STARTS} starts"
         )
         err.report = report
         raise err

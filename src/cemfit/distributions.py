@@ -3,11 +3,12 @@
 Each family is a frozen dataclass that carries its natural parameters and
 exposes ``pdf``, ``cdf``, ``survival``, ``quantile`` plus the log-space
 variants the censored likelihood needs; ``from_reported`` inverts
-``reported()``.  Methods accept scalars or numpy arrays and stay accurate far
-into the tails: the normal cdf/survival go through the complementary error
-function, the quantile and log-survival are SciPy's ``ndtri`` and
-``log_ndtr``, and the Mills ratio uses the scaled complementary error
-function so it never underflows.
+``reported()`` and ``moment_start`` is the family's default start.  Methods
+accept scalars or numpy arrays and stay accurate far into the tails: the
+normal cdf/survival go through the complementary error function, the
+quantile and log-survival are SciPy's ``ndtri`` and ``log_ndtr``, and the
+Mills ratio uses the scaled complementary error function so it never
+underflows.
 """
 
 from __future__ import annotations
@@ -55,6 +56,14 @@ def _maybe_float(x):
     """Return a python float for 0-d results, the array otherwise."""
     x = np.asarray(x)
     return float(x) if x.ndim == 0 else x
+
+
+def _open_unit(u) -> np.ndarray:
+    """``u`` as a float array, rejected unless every value lies strictly inside (0, 1)."""
+    u = np.asarray(u, dtype=float)
+    if np.any(u <= 0.0) or np.any(u >= 1.0):
+        raise ParameterError("u must lie strictly inside (0, 1)")
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +120,7 @@ def mills_ratio(a):
 
 def norm_ppf(u):
     """Inverse standard normal cdf for u in the open interval (0, 1)."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
-        raise ParameterError("quantile argument must lie strictly inside (0, 1)")
+    u = _open_unit(u)
     upper = u > 0.5
     # 1 - u is exact for u >= 0.5, so the two halves are symmetric bitwise.
     p = np.where(upper, 1.0 - u, u)
@@ -157,6 +164,15 @@ class Normal:
     @classmethod
     def from_reported(cls, mu: float, sigma: float) -> "Normal":
         return cls(mu, sigma * sigma)
+
+    @classmethod
+    def moment_start(cls, y: np.ndarray) -> "Normal":
+        """Mean and variance of the exact observations; N(0, 1) if degenerate."""
+        if y.size >= 2:
+            v = float(np.var(y))
+            if v > 0.0:
+                return cls(float(np.mean(y)), v)
+        return cls(0.0, 1.0)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -207,6 +223,16 @@ class Laplace:
     def from_reported(cls, mu: float, sigma: float) -> "Laplace":
         return cls(mu, sigma)
 
+    @classmethod
+    def moment_start(cls, y: np.ndarray) -> "Laplace":
+        """Median and mean absolute deviation about it; Laplace(0, 1) if degenerate."""
+        if y.size >= 2:
+            med = float(np.median(y))
+            scale = float(np.mean(np.abs(y - med)))
+            if scale > 0.0:
+                return cls(med, scale)
+        return cls(0.0, 1.0)
+
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         return _maybe_float(np.exp(-np.abs(x - self.mu) / self.sigma) / (2.0 * self.sigma))
@@ -237,9 +263,7 @@ class Laplace:
         return _maybe_float(np.where(z >= 0.0, upper, lower))
 
     def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        if np.any(u <= 0.0) or np.any(u >= 1.0):
-            raise ParameterError("quantile argument must lie strictly inside (0, 1)")
+        u = _open_unit(u)
         lower = np.log(2.0 * np.minimum(u, 0.5))
         upper = -np.log(2.0 * np.minimum(1.0 - u, 0.5))
         return _maybe_float(self.mu + self.sigma * np.where(u < 0.5, lower, upper))
@@ -266,6 +290,15 @@ class Rayleigh:
     @classmethod
     def from_reported(cls, beta: float) -> "Rayleigh":
         return cls(beta)
+
+    @classmethod
+    def moment_start(cls, y: np.ndarray) -> "Rayleigh":
+        """beta^2 = mean(y^2) / 2 over the exact observations; Rayleigh(1) if degenerate."""
+        if y.size >= 1:
+            b2 = float(np.sum(y * y)) / (2.0 * y.size)
+            if b2 > 0.0:
+                return cls(math.sqrt(b2))
+        return cls(1.0)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -298,9 +331,7 @@ class Rayleigh:
         return _maybe_float(np.where(x > 0.0, -0.5 * x * x / b2, 0.0))
 
     def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        if np.any(u <= 0.0) or np.any(u >= 1.0):
-            raise ParameterError("quantile argument must lie strictly inside (0, 1)")
+        u = _open_unit(u)
         return _maybe_float(self.beta * np.sqrt(-2.0 * np.log1p(-u)))
 
 

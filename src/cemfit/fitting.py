@@ -7,11 +7,9 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .censoring import CensoredSample
-from .distributions import Family, Laplace, Normal, ParamSet, Rayleigh
-from .exceptions import ParameterError
+from .distributions import _CLASSES, Family, ParamSet
+from .exceptions import DataError, ParameterError
 
 __all__ = [
     "Algorithm",
@@ -150,7 +148,8 @@ def read_trace_csv(path) -> list[tuple[float, ...]]:
     out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        if next(reader, None) is None:
+            raise DataError(f"{path}: empty file (expected a trace header)")
         for row in reader:
             if row:
                 out.append(tuple(float(c) for c in row))
@@ -158,29 +157,9 @@ def read_trace_csv(path) -> list[tuple[float, ...]]:
 
 
 def default_start(sample: CensoredSample, family: Family) -> ParamSet:
-    """Moment-style starting point from the uncensored part of the sample.
+    """Moment-style start from the exact observations: ``family``'s ``moment_start``.
 
-    Falls back to a neutral unit-scale start when fewer than two exact
-    observations are available (or the exact observations are degenerate).
+    Each family falls back to a neutral unit-scale start when its moments
+    are degenerate (too few exact observations, or all equal).
     """
-    y = sample.uncensored
-    if family is Family.NORMAL:
-        if y.size >= 2:
-            v = float(np.var(y))
-            if v > 0.0:
-                return Normal(float(np.mean(y)), v)
-        return Normal(0.0, 1.0)
-    if family is Family.LAPLACE:
-        if y.size >= 2:
-            med = float(np.median(y))
-            scale = float(np.mean(np.abs(y - med)))
-            if scale > 0.0:
-                return Laplace(med, scale)
-        return Laplace(0.0, 1.0)
-    if family is Family.RAYLEIGH:
-        if y.size >= 1:
-            b2 = float(np.sum(y * y)) / (2.0 * y.size)
-            if b2 > 0.0:
-                return Rayleigh(math.sqrt(b2))
-        return Rayleigh(1.0)
-    raise ParameterError(f"unknown family: {family!r}")
+    return _CLASSES[family].moment_start(sample.uncensored)

@@ -6,8 +6,8 @@ average over K draws from its left-truncated conditional distribution.  The
 M-steps are then the complete-data MLE formulas applied to the augmented
 sample:
 
-* normal:   mean / variance of the n observed values plus the K-averaged
-  draw totals;
+* normal:   the exact EM M-step (``em.m_step``) at the observed totals plus
+  the K-averaged draw totals;
 * Laplace:  location = median of the augmented multiset (each observed value
   counted K times, each draw once), scale = mean absolute deviation about
   it, with draw deviations averaged over K;
@@ -26,6 +26,7 @@ import numpy as np
 
 from .censoring import CensoredSample, ensure_fittable, observed_loglik
 from .distributions import Family, Laplace, Normal, Rayleigh
+from .em import NormalSuffStats, m_step
 from .exceptions import DegenerateDataError, ParameterError
 from .fitting import Algorithm, FitConfig, FitTrace, TraceRow, default_start
 from .streams import RandomStream
@@ -130,7 +131,8 @@ def _draw_blocks(sample, k: int, stream: RandomStream, sampler, *params) -> list
 
 def mcem_step_normal(sample: CensoredSample, params: Normal, k: int,
                      stream: RandomStream) -> Normal:
-    """One Monte Carlo EM sweep for the normal family.
+    """One Monte Carlo EM sweep for the normal family: the exact EM M-step
+    (:func:`cemfit.em.m_step`) at the K-averaged draw totals.
 
     ``stream`` must be scoped to the current iteration (fresh draws every
     sweep); unit substreams are derived from it.
@@ -138,12 +140,8 @@ def mcem_step_normal(sample: CensoredSample, params: Normal, k: int,
     y = sample.uncensored
     acc = MonteCarloAccumulator.from_blocks(
         _draw_blocks(sample, k, stream, sample_truncated_normal, params.mu, params.sigma))
-    n = sample.n
-    mean = (math.fsum(y) + acc.v1 / k) / n
-    var = (math.fsum(y * y) + acc.v2 / k) / n - mean * mean
-    if not (var > 0.0):
-        raise DegenerateDataError(f"update produced nonpositive variance {var:.3e}")
-    return Normal(mean, var)
+    return m_step(NormalSuffStats(math.fsum(y), math.fsum(y * y), acc.v1 / k, acc.v2 / k),
+                  sample.n)
 
 
 def mcem_step_laplace(sample: CensoredSample, params: Laplace, k: int,

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .distributions import _maybe_float, norm_cdf, norm_ppf, norm_sf
+from .distributions import _maybe_float, _open_unit, norm_cdf, norm_ppf, norm_sf
 from .exceptions import ParameterError, TailUnderflowError
 
 __all__ = [
@@ -21,13 +21,6 @@ __all__ = [
     "sample_truncated_laplace",
     "sample_truncated_rayleigh",
 ]
-
-
-def _check_uniforms(u):
-    u = np.asarray(u, dtype=float)
-    if u.size and (np.any(u <= 0.0) or np.any(u >= 1.0)):
-        raise ParameterError("uniform draws must lie strictly inside (0, 1)")
-    return u
 
 
 def _strictly_above(x, lower: float):
@@ -45,7 +38,7 @@ def sample_truncated_normal(mu: float, sigma: float, lower: float, u):
     """
     if sigma <= 0.0 or not math.isfinite(sigma):
         raise ParameterError(f"sigma must be positive, got {sigma}")
-    u = _check_uniforms(u)
+    u = _open_unit(u)
     r = (lower - mu) / sigma
     tail = norm_sf(r)
     if tail <= 1e-15:
@@ -71,7 +64,7 @@ def sample_truncated_laplace(mu: float, sigma: float, lower: float, u):
     """
     if sigma <= 0.0 or not math.isfinite(sigma):
         raise ParameterError(f"sigma must be positive, got {sigma}")
-    u = _check_uniforms(u)
+    u = _open_unit(u)
     if lower >= mu:
         x = lower - sigma * np.log(u)
     else:
@@ -94,6 +87,6 @@ def sample_truncated_rayleigh(beta: float, lower: float, u):
         raise ParameterError(f"beta must be positive, got {beta}")
     if lower < 0.0 or not math.isfinite(lower):
         raise ParameterError(f"truncation point must be finite and nonnegative, got {lower}")
-    u = _check_uniforms(u)
+    u = _open_unit(u)
     x = np.sqrt(lower * lower - 2.0 * beta * beta * np.log(u))
     return _maybe_float(_strictly_above(x, lower))

@@ -46,3 +46,19 @@ def test_traced_fits_hit_every_hook(tracing):
     # one sampler call per censored unit of the single MCEM sweep
     assert seen["truncated.sample"]["count"] == normal.n - normal.m
     assert tracer.bound_violations == 0
+
+
+def test_traced_em_and_laplace_mcem_hit_their_hooks(tracing):
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        cemfit.fit(example_normal(), cemfit.FitConfig(cemfit.Family.NORMAL, cemfit.Algorithm.EM))
+        cemfit.fit(example_laplace(), cemfit.FitConfig(cemfit.Family.LAPLACE,
+                                                       cemfit.Algorithm.MCEM, k=200, max_iter=1))
+    finally:
+        tracer.uninstall()
+    seen = tracer.summarize()
+    for name in ("em.e_step", "em.m_step", "fitting.default_start", "censoring.validate",
+                 "mcem.accumulate", "mcem.median"):
+        assert seen[name]["count"] > 0, name
+    assert tracer.bound_violations == 0

@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from cemfit.censoring import from_type2, read_censored_csv
+from cemfit.censoring import CensoredSample, from_type2, read_censored_csv, write_censored_csv
 from cemfit.cli import main
 from cemfit.datasets import dataset_path
+from cemfit.fitting import read_trace_csv
 
 import reference_values as rv
 
@@ -63,6 +64,20 @@ class TestFitCommand:
                            "--start", "1.7,0.004", "--max-iter", "2", "--tol", "1e-12")
         assert code == 2
         assert "converged: no" in out
+
+    def test_deep_tail_bound_em_matches_direct(self, capsys, tmp_path):
+        # one unit censored 40 sd above the moment start: EM must not refuse it
+        data = tmp_path / "deep.csv"
+        data.write_text("w,delta\n" + "".join(f"{j / 50!r},1\n" for j in range(1, 50))
+                        + "12.0,0\n")
+        finals = []
+        for algorithm in ("em", "direct"):
+            trace = tmp_path / f"{algorithm}.csv"
+            code, _, _ = run(capsys, "fit", "--family", "normal", "--algorithm", algorithm,
+                             "--data", str(data), "--trace", str(trace))
+            assert code == 0
+            finals.append(read_trace_csv(trace)[-1][1:3])
+        assert finals[0] == pytest.approx(finals[1], abs=1e-6)
 
     def test_em_on_laplace_is_an_input_error(self, capsys):
         code, _, err = run(capsys, "fit", "--family", "laplace",
@@ -135,6 +150,19 @@ class TestConvertType2:
         want = from_type2(rv.LAPLACE_OBSERVED, rv.LAPLACE_TOTAL_N)
         np.testing.assert_array_equal(got.w, want.w)
         np.testing.assert_array_equal(got.delta, want.delta)
+
+    def test_stdout_and_file_carry_the_sample_csv(self, capsys, tmp_path):
+        sample = CensoredSample([0.5, 1.25, 1.25], [1, 1, 0])
+        text = "w,delta\n0.5,1\n1.25,1\n1.25,0\n"
+        assert sample.to_csv() == text
+        written = tmp_path / "written.csv"
+        write_censored_csv(written, sample)
+        assert written.read_bytes() == text.encode()
+        values = tmp_path / "values.txt"
+        values.write_text("0.5\n1.25\n")
+        code, out, _ = run(capsys, "convert-type2", "--values", str(values), "--total-n", "3")
+        assert code == 0
+        assert out == text
 
     def test_more_values_than_units_is_an_error(self, capsys, tmp_path):
         values = tmp_path / "values.txt"

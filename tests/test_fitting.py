@@ -7,7 +7,7 @@ import pytest
 
 from cemfit.censoring import CensoredSample
 from cemfit.distributions import Family, Laplace, Normal, Rayleigh
-from cemfit.exceptions import ParameterError
+from cemfit.exceptions import DataError, ParameterError
 from cemfit.fitting import (
     DEFAULT_SEED,
     Algorithm,
@@ -102,6 +102,12 @@ class TestTrace:
         for row, parsed in zip(trace.rows, rows):
             assert parsed == row.reported()  # bit-exact via 17 digits
 
+    def test_empty_csv_names_the_file(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("")
+        with pytest.raises(DataError, match="trace.csv: empty file"):
+            read_trace_csv(path)
+
     def test_csv_header_and_shape(self):
         text = self._toy_trace().to_csv()
         lines = text.strip().split("\n")
@@ -136,3 +142,10 @@ class TestDefaultStart:
         s = CensoredSample([2.0, 2.0, 5.0], [1, 1, 0])
         start = default_start(s, Family.NORMAL)
         assert start.sigma2 > 0.0
+
+    def test_equal_laplace_observations_fall_back_to_unit_scale(self):
+        s = CensoredSample([2.0, 2.0, 5.0], [1, 1, 0])
+        assert default_start(s, Family.LAPLACE) == Laplace(0.0, 1.0)
+
+    def test_rayleigh_moment_start_of_no_observations_is_unit(self):
+        assert Rayleigh.moment_start(np.array([])) == Rayleigh(1.0)
