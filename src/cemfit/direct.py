@@ -134,7 +134,9 @@ def fit_direct(sample: CensoredSample, config: FitConfig) -> OptimizerReport:
     """Maximize the censored-data log-likelihood by simplex search from the
     ``_N_STARTS`` starts that ``_start_list`` fans around ``config.start``
     (default: the family's moment start); no other config field is consulted.
-    Raises :class:`NonConvergenceError` (with the best report attached as
+    ``converged`` means the search succeeded and the dimensionless mean score
+    ``gradient_norm * scale / n`` (scale: the last reported coordinate) is at
+    most 1e-6.  Raises :class:`NonConvergenceError` (with the best report attached as
     ``.report``) if no start converges.
     """
     if config.algorithm is not Algorithm.DIRECT:
@@ -165,7 +167,8 @@ def fit_direct(sample: CensoredSample, config: FitConfig) -> OptimizerReport:
         argmax = _canonicalize_laplace(sample, argmax)
     loglik = observed_loglik(sample, argmax)
     grad = loglik_gradient_norm(sample, argmax)
-    converged = bool(best.success) and grad <= 1e-5
+    # the score sums n terms in units of 1/scale, so this reads alike at any n or scale
+    converged = bool(best.success) and grad * argmax.reported()[-1] / sample.n <= 1e-6
     report = OptimizerReport(argmax, loglik, int(best.nit), converged, grad)
     if not best.success:
         err = NonConvergenceError(

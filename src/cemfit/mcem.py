@@ -14,12 +14,17 @@ sample:
 * Rayleigh: scale^2 = (sum of squares, draws K-averaged) / (2n).
 
 Draws are addressed by (seed, iteration, unit), so a fit is bit-reproducible
-regardless of evaluation order, and every iteration uses fresh draws.
+regardless of evaluation order, and every iteration uses fresh draws.  A
+sweep draws a chunk of censored units at a time (``CHUNK_DRAWS`` draws per
+sampler call) and keeps per-unit running sums, so the normal and Rayleigh
+steps hold O(chunk) draws whatever n and K are; the Laplace step keeps every
+draw for the median.  The chunk size changes no draw and no trace byte.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,35 +51,16 @@ __all__ = [
 ]
 
 
-def _weighted_select(values: np.ndarray, weights: np.ndarray, k: int) -> float:
-    """k-th smallest (1-based) of the multiset where values[j] occurs weights[j] times.
-
-    Iterative quickselect with a median-of-values pivot: the candidate set at
-    least halves each round, so total work is linear in the input size.
-    """
-    v, w = values, weights
-    while v.size > 1:
-        pivot = float(np.partition(v, v.size // 2)[v.size // 2])
-        less = v < pivot
-        greater = v > pivot
-        w_less = int(w[less].sum())
-        w_equal = int(w[~less & ~greater].sum())
-        if k <= w_less:
-            v, w = v[less], w[less]
-        elif k <= w_less + w_equal:
-            return pivot
-        else:
-            k -= w_less + w_equal
-            v, w = v[greater], w[greater]
-    return float(v[0])
-
-
-def weighted_median(values, weights) -> float:
-    """Median of the multiset with integer multiplicities ``weights``.
+def weighted_median(values, weights, singles=()) -> float:
+    """Median of the multiset where values[j] occurs weights[j] times, plus
+    every entry of the arrays in ``singles`` once.
 
     For an even total count the median is the average of the two middle
-    order statistics.  Runs in linear time; the multiset is never
-    materialized.
+    order statistics.  The multiset is never materialized: the values of
+    weight above one are sorted, one ``searchsorted`` plus ``bincount``
+    counts the weight-one values falling into each gap between them, and a
+    target rank then lands either on a sorted value or inside one gap, whose
+    values alone are partitioned.
     """
     v = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=np.int64)
@@ -82,23 +68,55 @@ def weighted_median(values, weights) -> float:
         raise ParameterError("values and weights must be one-dimensional and equal length")
     if v.size == 0 or np.any(w < 0):
         raise ParameterError("weights must be nonnegative with a positive total")
-    total = int(w.sum())
+    heavy = w > 1
+    order = np.argsort(v[heavy])
+    h, hw = v[heavy][order], w[heavy][order]
+    light = [v[w == 1]] + [np.asarray(a, dtype=float).ravel() for a in singles]
+    # gap g holds the light values in (h[g-1], h[g]], as searchsorted places them
+    counts = np.zeros(h.size + 1, dtype=np.int64)
+    for part in light:
+        counts += np.bincount(np.searchsorted(h, part), minlength=h.size + 1)
+    # cumulative counts over the segments gap 0, h[0], gap 1, h[1], ..., gap h.size
+    ends = np.cumsum(np.stack([counts, np.append(hw, 0)], axis=1).ravel()[:-1])
+    total = int(ends[-1])
     if total == 0:
         raise ParameterError("weights must be nonnegative with a positive total")
+
+    def select(rank: int) -> float:
+        seg = int(np.searchsorted(ends, rank))
+        if seg % 2:
+            return float(h[seg // 2])
+        g = seg // 2
+
+        def in_gap(p):
+            if g > 0:
+                p = p[p > h[g - 1]]
+            return p[p <= h[g]] if g < h.size else p
+
+        inside = np.concatenate([in_gap(p) for p in light])
+        j = rank - (int(ends[seg - 1]) if seg else 0) - 1
+        return float(np.partition(inside, j)[j])
+
     if total % 2:
-        return _weighted_select(v, w, (total + 1) // 2)
-    lo = _weighted_select(v, w, total // 2)
-    hi = _weighted_select(v, w, total // 2 + 1)
-    return 0.5 * (lo + hi)
+        return select((total + 1) // 2)
+    return 0.5 * (select(total // 2) + select(total // 2 + 1))
+
+
+def _fsum_rows(parts: list[np.ndarray]) -> float:
+    """Exactly rounded total of per-unit sums held as a list of arrays."""
+    return math.fsum(x for part in parts for x in part.tolist())
 
 
 @dataclass
 class MonteCarloAccumulator:
     """Totals over the censored units' conditional draws.
 
-    ``blocks`` holds one array of K draws per censored unit (original
-    sample order); ``v1``/``v2`` are the grand totals of the draws and
-    their squares.
+    ``v1``/``v2`` are the grand totals of the draws and their squares: the
+    exactly rounded (``math.fsum``) sums of each unit's row sums, so they do
+    not depend on how the units were chunked.  ``blocks`` holds the
+    (units × K) chunks of draws themselves only when asked to keep them (the
+    Laplace median needs every draw); otherwise it is empty and the
+    accumulator holds one chunk at a time.
     """
 
     v1: float
@@ -106,27 +124,42 @@ class MonteCarloAccumulator:
     blocks: list[np.ndarray]
 
     @classmethod
-    def from_blocks(cls, blocks: list[np.ndarray]) -> "MonteCarloAccumulator":
-        v1 = math.fsum(float(b.sum()) for b in blocks)
-        v2 = math.fsum(float((b * b).sum()) for b in blocks)
-        return cls(v1, v2, blocks)
+    def from_blocks(cls, blocks: Iterable[np.ndarray],
+                    keep: bool = False) -> "MonteCarloAccumulator":
+        s1, s2, kept = [], [], []
+        for b in blocks:
+            s1.append(b.sum(axis=1))
+            s2.append((b * b).sum(axis=1))
+            if keep:
+                kept.append(b)
+        return cls(_fsum_rows(s1), _fsum_rows(s2), kept)
 
     def abs_deviation(self, center: float) -> float:
-        """Sum of |draw - center| over every draw."""
-        return math.fsum(float(np.abs(b - center).sum()) for b in self.blocks)
+        """Sum of |draw - center| over every kept draw."""
+        return _fsum_rows([np.abs(b - center).sum(axis=1) for b in self.blocks])
 
 
-def _draw_blocks(sample, k: int, stream: RandomStream, sampler, *params) -> list[np.ndarray]:
-    """K draws ``sampler(*params, bound, u)`` per censored unit, one substream per unit.
+# Draws per sampler call: a chunk covers max(1, CHUNK_DRAWS // K) censored
+# units, so one float array of a chunk takes 64 KB.
+CHUNK_DRAWS = 8192
 
-    The steps pass this module's ``sample_truncated_*`` by name, so a wrapper
-    installed on those names (``perfbench/tracing.py``) sees every draw.
+
+def _draw_blocks(sample, k: int, stream: RandomStream, sampler,
+                 *params) -> Iterator[np.ndarray]:
+    """Chunks of draws ``sampler(*params, bounds, u)``, one (units × K) block per call.
+
+    Row r of a chunk holds the K draws of one censored unit (original sample
+    order), from that unit's own substream of ``stream``, so the draws do not
+    depend on the chunk size.  The bounds go in positionally as a (units, 1)
+    column, and the steps pass this module's ``sample_truncated_*`` by name,
+    so a wrapper installed on those names (``perfbench/tracing.py``) sees
+    every draw and its bound.
     """
-    blocks = []
-    for idx, bound in zip(sample.censored_indices, sample.censor_times):
-        u = stream.substream(int(idx)).uniforms(k)
-        blocks.append(np.asarray(sampler(*params, float(bound), u)))
-    return blocks
+    idx, bounds = sample.censored_indices, sample.censor_times
+    per = max(1, CHUNK_DRAWS // k)
+    for a in range(0, idx.size, per):
+        u = stream.unit_uniforms(idx[a:a + per], k)
+        yield np.asarray(sampler(*params, bounds[a:a + per, None], u))
 
 
 def mcem_step_normal(sample: CensoredSample, params: Normal, k: int,
@@ -154,13 +187,9 @@ def mcem_step_laplace(sample: CensoredSample, params: Laplace, k: int,
     """
     y = sample.uncensored
     acc = MonteCarloAccumulator.from_blocks(
-        _draw_blocks(sample, k, stream, sample_truncated_laplace, params.mu, params.sigma))
-    values = np.concatenate([y] + [b for b in acc.blocks]) if acc.blocks else y.copy()
-    weights = np.concatenate([
-        np.full(y.size, k, dtype=np.int64),
-        np.ones(values.size - y.size, dtype=np.int64),
-    ])
-    loc = weighted_median(values, weights)
+        _draw_blocks(sample, k, stream, sample_truncated_laplace, params.mu, params.sigma),
+        keep=True)
+    loc = weighted_median(y, np.full(y.size, k, dtype=np.int64), acc.blocks)
     scale = (math.fsum(np.abs(y - loc)) + acc.abs_deviation(loc) / k) / sample.n
     if not (scale > 0.0):
         raise DegenerateDataError(f"update produced nonpositive scale {scale:.3e}")

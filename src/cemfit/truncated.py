@@ -23,70 +23,121 @@ __all__ = [
 ]
 
 
-def _strictly_above(x, lower: float):
-    """Guard against a rounded-down draw landing exactly on the bound."""
-    return np.maximum(x, math.nextafter(lower, math.inf))
+def _as_rows(lower, u):
+    """``lower`` as a (rows, 1) column of bounds and ``u`` as the (rows, K) block
+    of uniforms for them, plus the shape to give the draws back in.
+
+    A scalar bound is one row holding every uniform, whatever ``u``'s shape;
+    a column of bounds takes one row of ``u`` each.
+    """
+    u = _open_unit(u)
+    lower = np.asarray(lower, dtype=float)
+    if lower.ndim == 0:
+        return lower.reshape(1, 1), u.reshape(1, -1), u.shape
+    if lower.ndim != 2 or lower.shape[1] != 1 or u.ndim != 2 or u.shape[0] != lower.shape[0]:
+        raise ParameterError(f"lower must be a scalar, or a (rows, 1) column for (rows, K) "
+                             f"uniforms; got {lower.shape} and {u.shape}")
+    return lower, u, u.shape
 
 
-def sample_truncated_normal(mu: float, sigma: float, lower: float, u):
+def _by_rows(take, first, second):
+    """Rows where the (rows, 1) mask ``take`` holds come from ``first(rows)``,
+    the others from ``second(rows)``.
+
+    Each branch runs on its own rows only, and on the whole block, without a
+    copy, when every row takes it.
+    """
+    take = take[:, 0]
+    if take.all():
+        return first(slice(None))
+    if not take.any():
+        return second(slice(None))
+    head = first(take)
+    x = np.empty((take.size, head.shape[1]))
+    x[take] = head
+    x[~take] = second(~take)
+    return x
+
+
+def _strictly_above(x, lower, shape):
+    """Guard against a rounded-down draw landing exactly on its row's bound,
+    and give the draws back in ``shape`` (a float for a scalar call)."""
+    return _maybe_float(np.maximum(x, np.nextafter(lower, np.inf)).reshape(shape))
+
+
+def sample_truncated_normal(mu: float, sigma: float, lower, u):
     """Draw from a normal(mu, sigma^2) conditioned on exceeding ``lower``.
 
     Uses the inverse conditional cdf.  When the truncation point sits in the
     upper half of the parent distribution the inversion runs through the
     survival function, which keeps full precision where the cdf would round
-    to 1.
+    to 1.  ``lower`` is a scalar or a (rows, 1) column of bounds for the rows
+    of ``u``.
     """
     if sigma <= 0.0 or not math.isfinite(sigma):
         raise ParameterError(f"sigma must be positive, got {sigma}")
-    u = _open_unit(u)
+    lower, u, shape = _as_rows(lower, u)
     r = (lower - mu) / sigma
     tail = norm_sf(r)
-    if tail <= 1e-15:
+    if np.any(tail <= 1e-15):
+        deep = int(np.argmax(r))
         raise TailUnderflowError(
-            f"truncation point leaves tail mass {tail:.3e} (standardized bound {r:.3g}); "
-            "too deep for stable inversion"
+            f"truncation point leaves tail mass {tail[deep, 0]:.3e} "
+            f"(standardized bound {r[deep, 0]:.3g}); too deep for stable inversion"
         )
-    if r >= 0.0:
-        x = mu - sigma * np.asarray(norm_ppf(tail * (1.0 - u)))
-    else:
-        x = mu + sigma * np.asarray(norm_ppf(norm_cdf(r) + u * tail))
-    return _maybe_float(_strictly_above(x, lower))
+
+    def upper(rows):
+        return mu - sigma * np.asarray(norm_ppf(tail[rows] * (1.0 - u[rows])))
+
+    def interior(rows):
+        return mu + sigma * np.asarray(norm_ppf(norm_cdf(r[rows]) + u[rows] * tail[rows]))
+
+    return _strictly_above(_by_rows(r >= 0.0, upper, interior), lower, shape)
 
 
-def sample_truncated_laplace(mu: float, sigma: float, lower: float, u):
+def sample_truncated_laplace(mu: float, sigma: float, lower, u):
     """Draw from a Laplace(mu, sigma) conditioned on exceeding ``lower``.
 
     The truncation point falls either in the exponential upper half (a single
     log inversion) or below the location, where the conditional cdf changes
     form at the location itself; the interior split point is
     H = (1 - e^r) / (2 - e^r) with r the standardized bound, and the two
-    branches meet continuously at u = H.
+    branches meet continuously at u = H.  ``lower`` is a scalar or a
+    (rows, 1) column of bounds for the rows of ``u``.
     """
     if sigma <= 0.0 or not math.isfinite(sigma):
         raise ParameterError(f"sigma must be positive, got {sigma}")
-    u = _open_unit(u)
-    if lower >= mu:
-        x = lower - sigma * np.log(u)
-    else:
-        r = (lower - mu) / sigma
-        er = math.exp(r)
+    lower, u, shape = _as_rows(lower, u)
+
+    def upper(rows):
+        return lower[rows] - sigma * np.log(u[rows])
+
+    def interior(rows):
+        uu = u[rows]
+        r = (lower[rows] - mu) / sigma
+        # math.exp, not np.exp: NumPy's vector exp differs from libm in the last bit
+        er = np.array([math.exp(v) for v in r[:, 0].tolist()]).reshape(r.shape)
         split = (1.0 - er) / (2.0 - er)
-        below = mu + sigma * np.log(2.0 * u + (1.0 - u) * er)
-        above = mu - sigma * np.log(2.0 * (1.0 - u) - (1.0 - u) * er)
-        x = np.where(u <= split, below, above)
-    return _maybe_float(_strictly_above(x, lower))
+        below = mu + sigma * np.log(2.0 * uu + (1.0 - uu) * er)
+        above = mu - sigma * np.log(2.0 * (1.0 - uu) - (1.0 - uu) * er)
+        return np.where(uu <= split, below, above)
+
+    return _strictly_above(_by_rows(lower >= mu, upper, interior), lower, shape)
 
 
-def sample_truncated_rayleigh(beta: float, lower: float, u):
+def sample_truncated_rayleigh(beta: float, lower, u):
     """Draw from a Rayleigh(beta) conditioned on exceeding ``lower`` >= 0.
 
     The conditional survival ratio inverts in closed form:
-    x = sqrt(lower^2 - 2 beta^2 log u).
+    x = sqrt(lower^2 - 2 beta^2 log u).  ``lower`` is a scalar or a (rows, 1)
+    column of bounds for the rows of ``u``.
     """
     if beta <= 0.0 or not math.isfinite(beta):
         raise ParameterError(f"beta must be positive, got {beta}")
-    if lower < 0.0 or not math.isfinite(lower):
-        raise ParameterError(f"truncation point must be finite and nonnegative, got {lower}")
-    u = _open_unit(u)
+    bad = np.asarray(lower, dtype=float)
+    bad = bad[~((bad >= 0.0) & np.isfinite(bad))]
+    if bad.size:
+        raise ParameterError(f"truncation point must be finite and nonnegative, got {bad[0]}")
+    lower, u, shape = _as_rows(lower, u)
     x = np.sqrt(lower * lower - 2.0 * beta * beta * np.log(u))
-    return _maybe_float(_strictly_above(x, lower))
+    return _strictly_above(x, lower, shape)

@@ -10,6 +10,7 @@ bundled fit per route under the tracer and checks every hook fired.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cemfit
@@ -28,10 +29,27 @@ def tracing():
         sys.path.remove(str(PERFBENCH))
 
 
+def count_draws(attr):
+    """Wrap ``cemfit.mcem.<attr>`` (the traced sampler, once installed) to
+    record the size of every array it returns; ``Tracer.uninstall`` later
+    puts the original back over this wrapper."""
+    sampler = getattr(cemfit.mcem, attr)
+    sizes = []
+
+    def counting(*args):
+        z = sampler(*args)
+        sizes.append(np.size(z))
+        return z
+
+    setattr(cemfit.mcem, attr, counting)
+    return sizes
+
+
 def test_traced_fits_hit_every_hook(tracing):
     tracer = tracing.Tracer()
     tracer.install()
     try:
+        sizes = count_draws("sample_truncated_normal")
         normal = example_normal()
         cemfit.fit(normal, cemfit.FitConfig(cemfit.Family.NORMAL, cemfit.Algorithm.MCEM,
                                             k=200, max_iter=1))
@@ -43,8 +61,31 @@ def test_traced_fits_hit_every_hook(tracing):
     for name in ("mcem.step", "truncated.sample", "distributions.ppf", "streams.uniforms",
                  "direct.search", "direct.objective", "censoring.loglik"):
         assert seen[name]["count"] > 0, name
-    # one sampler call per censored unit of the single MCEM sweep
-    assert seen["truncated.sample"]["count"] == normal.n - normal.m
+    # the traced sampler returned every draw of the single MCEM sweep
+    n_draws = (normal.n - normal.m) * 200
+    assert sum(sizes) == n_draws
+    assert seen["streams.uniforms"]["qty"] == n_draws
+    assert tracer.bound_violations == 0
+
+
+def test_traced_laplace_mcem_checks_bounds_on_both_branches(tracing):
+    # bounds on both sides of the location put rows of both sampler
+    # branches into one chunk, and the tracer checks every draw of it
+    rng = np.random.default_rng(2024)
+    x, c = rng.normal(0.0, 1.0, 300), rng.normal(-1.0, 1.0, 300)
+    sample = cemfit.CensoredSample(np.minimum(x, c), (x <= c).astype(int))
+    assert (sample.censor_times < 0.0).any() and (sample.censor_times >= 0.0).any()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        sizes = count_draws("sample_truncated_laplace")
+        cemfit.fit(sample, cemfit.FitConfig(cemfit.Family.LAPLACE, cemfit.Algorithm.MCEM,
+                                            start=cemfit.Laplace(0.0, 1.0), k=37, max_iter=1))
+    finally:
+        tracer.uninstall()
+    assert len(sizes) > 1
+    assert sum(sizes) == sample.censor_times.size * 37
+    assert tracer.summarize()["mcem.median"]["count"] == 1
     assert tracer.bound_violations == 0
 
 

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from cemfit.censoring import CensoredSample, observed_loglik
+from cemfit.censoring import CensoredSample, observed_loglik, write_censored_csv
+from cemfit.cli import main
 from cemfit.datasets import example_laplace, example_normal, example_rayleigh
 from cemfit.direct import (
     _start_list,
@@ -245,3 +246,31 @@ class TestStartFan:
         beta = 6.1341
         starts = _start_list(Rayleigh(beta), 5)
         assert [p.beta for p in starts] == [beta * f for f in (1, 2, 0.5, 4, 0.25)]
+
+
+class TestScaleFreeConvergence:
+    """``converged`` reads the mean score in units of the fitted scale, so it
+    neither hardens with n nor moves when the data are rescaled."""
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        # n=20000 normal lifetimes, each censored at its own bound: ~30% censored
+        rng = np.random.default_rng(20000)
+        x = rng.normal(10.0, 2.0, 20_000)
+        bound = rng.normal(11.5, 2.0, 20_000)
+        return np.minimum(x, bound), (x <= bound).astype(int)
+
+    def test_large_and_rescaled_samples_converge(self, large):
+        w, delta = large
+        report = fit_direct(CensoredSample(w, delta), direct_config(Family.NORMAL))
+        assert report.converged
+        assert report.gradient_norm > 1e-5  # the absolute score norm grows with n
+        scaled = fit_direct(CensoredSample(w * 1000.0, delta), direct_config(Family.NORMAL))
+        assert scaled.converged
+
+    def test_cli_exits_zero(self, large, tmp_path, capsys):
+        data = tmp_path / "large.csv"
+        write_censored_csv(data, CensoredSample(*large))
+        assert main(["fit", "--family", "normal", "--algorithm", "direct",
+                     "--data", str(data)]) == 0
+        assert "converged: yes" in capsys.readouterr().out

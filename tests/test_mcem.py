@@ -1,6 +1,8 @@
 """Monte Carlo EM steps, the weighted median, and reproducibility."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from cemfit.distributions import Family, Laplace, Normal, Rayleigh
 from cemfit.em import e_step
 from cemfit.exceptions import DataError, ParameterError
 from cemfit.fitting import Algorithm, FitConfig
+from cemfit import mcem
 from cemfit.mcem import (
     fit_mcem,
     mcem_step_laplace,
@@ -51,6 +54,20 @@ class TestWeightedMedian:
                 weights[rng.integers(size)] = 1
             expected = float(np.median(np.repeat(values, weights)))
             assert weighted_median(values, weights) == expected
+
+    def test_singles_count_once_on_random_multisets(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            size = int(rng.integers(1, 12))
+            values = np.round(rng.normal(0, 10, size=size), 1)
+            weights = rng.integers(0, 5, size=size)
+            singles = [np.round(rng.normal(0, 10, size=(int(rng.integers(1, 3)),
+                                                        int(rng.integers(0, 9)))), 1)
+                       for _ in range(int(rng.integers(1, 4)))]
+            multiset = np.concatenate([np.repeat(values, weights)] + [s.ravel() for s in singles])
+            if multiset.size == 0:
+                continue
+            assert weighted_median(values, weights, singles) == float(np.median(multiset))
 
     def test_even_total_averages_the_middle_pair(self):
         assert weighted_median([1.0, 2.0, 10.0], [1, 1, 2]) == 6.0
@@ -239,3 +256,63 @@ class TestStationaryNoise:
         assert spreads[0] > spreads[1] > spreads[2]
         assert 1.5 < spreads[0] / spreads[1] < 7.0
         assert 1.5 < spreads[1] / spreads[2] < 7.0
+
+
+def random_censoring(seed=2024, n=300):
+    """Normal lifetimes censored at their own normal bounds: 241 of 300 units
+    censored, with bounds on both sides of the location."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 1.0, n)
+    c = rng.normal(-1.0, 1.0, n)
+    return CensoredSample(np.minimum(x, c), (x <= c).astype(int))
+
+
+# sha256 of FitTrace.to_csv() as produced by the unit-at-a-time E-step that
+# the chunked one replaced; chunking must not move a single draw
+GOLDEN_TRACES = {
+    ("normal", "bundled", 2000, 0): "88717eb07040e6d2f66768d4970e8e7219d867449bb3250730b634dbe1c98832",
+    ("laplace", "bundled", 2000, 0): "3d3073e2f4bb930ad500d3e3a8cc17c02de2d0e5f42f1b1a0207da4bf10306d7",
+    ("rayleigh", "bundled", 2000, 0): "3cc5f5d945396bb68fc647c6909184f9cf12d74d9e13a49e3798c99a8f9fbb67",
+    ("normal", "bundled", 2000, 5): "464a391c0d001d26ea1cd8fcc11de5c392250f9f66b06e8c0e71d53902327a32",
+    ("laplace", "bundled", 2000, 5): "b090db8a885aa73582619d22e54ed6dead14d8fa85b45315886069ab2abd0357",
+    ("rayleigh", "bundled", 2000, 5): "c63dc7cace0a0784a2bcc36759c8d2427fc846e332e8dc556e9ccccb6483f9c7",
+    ("normal", "random", 37, 11): "5abb513c91b8b246f635742006dd25cf46469445617ce707b4bc413047de3cb6",
+    ("laplace", "random", 37, 11): "458df540fde8765056840ea8e3b6583db9757af8fce1ebc6b73ca38ba7274d1b",
+}
+BUNDLED = {"normal": example_normal, "laplace": example_laplace, "rayleigh": example_rayleigh}
+
+
+class TestChunkedEStep:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_TRACES), ids=lambda c: "-".join(map(str, c)))
+    def test_traces_are_byte_identical_to_golden(self, case):
+        family, data, k, seed = case
+        sample = BUNDLED[family]() if data == "bundled" else random_censoring()
+        trace = fit_mcem(sample, FitConfig(Family(family), Algorithm.MCEM, k=k, max_iter=3,
+                                           seed=seed))
+        assert hashlib.sha256(trace.to_csv().encode()).hexdigest() == GOLDEN_TRACES[case]
+
+    @pytest.mark.parametrize("chunk", [1, 100, 10**6])
+    def test_steps_do_not_depend_on_the_chunk_size(self, monkeypatch, chunk):
+        sample = random_censoring()
+        cases = [(mcem_step_normal, Normal(0.0, 1.0)), (mcem_step_laplace, Laplace(0.0, 1.0)),
+                 (mcem_step_rayleigh, Rayleigh(1.0))]
+        rayleigh = CensoredSample(np.abs(sample.w), sample.delta)
+        stream = RandomStream(3).substream(1)
+        expected = [step(rayleigh if step is mcem_step_rayleigh else sample, p, 37, stream)
+                    for step, p in cases]
+        monkeypatch.setattr(mcem, "CHUNK_DRAWS", chunk)
+        got = [step(rayleigh if step is mcem_step_rayleigh else sample, p, 37, stream)
+               for step, p in cases]
+        assert got == expected
+
+    def test_rayleigh_step_holds_one_chunk_of_draws(self):
+        # 400 censored units x K=10_000 = 4e6 draws, 32 MB if every draw were held
+        sample = CensoredSample(np.r_[np.linspace(0.5, 3.0, 100), np.full(400, 3.0)],
+                                np.r_[np.ones(100, int), np.zeros(400, int)])
+        tracemalloc.start()
+        try:
+            mcem_step_rayleigh(sample, Rayleigh(1.5), 10_000, RandomStream(1).substream(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6

@@ -1,6 +1,7 @@
 """Deterministic substream generator: reproducibility and range contracts."""
 
 import numpy as np
+import pytest
 from numpy.testing import assert_array_equal
 
 from cemfit.streams import RandomStream
@@ -83,3 +84,35 @@ class TestRangeContracts:
         u = RandomStream(0).uniforms(10)
         assert u.dtype == np.float64
         assert u.shape == (10,)
+
+
+class TestUnitBlocks:
+    UNITS = [0, 1, 2**32, 2**63 + 5]
+
+    @pytest.mark.parametrize("stream", [RandomStream(8), RandomStream(8).substream(3, 2**40)],
+                             ids=["root", "nested"])
+    def test_rows_equal_unit_substreams(self, stream):
+        block = stream.unit_uniforms(self.UNITS, 37)
+        assert block.shape == (4, 37)
+        for row, unit in zip(block, self.UNITS):
+            assert_array_equal(row, stream.substream(unit).uniforms(37))
+
+    def test_integer_array_and_single_row(self):
+        stream = RandomStream(2).substream(9)
+        block = stream.unit_uniforms(np.array([5, -1, 70_000]), 4)
+        for row, unit in zip(block, (5, -1, 70_000)):
+            assert_array_equal(row, stream.substream(unit).uniforms(4))
+        assert_array_equal(stream.unit_uniforms(np.array([5]), 10_000)[0],
+                           stream.substream(5).uniforms(10_000))
+        assert stream.unit_uniforms([], 3).shape == (0, 3)
+
+    def test_block_leaves_the_parent_stream_untouched(self):
+        stream = RandomStream(4)
+        stream.unit_uniforms([1, 2], 8)
+        assert_array_equal(stream.uniforms(8), RandomStream(4).uniforms(8))
+
+    def test_rejects_non_integer_units(self):
+        with pytest.raises(TypeError):
+            RandomStream(1).unit_uniforms([1.5], 3)
+        with pytest.raises(TypeError):
+            RandomStream(1).unit_uniforms(np.array([[1]]), 3)

@@ -236,3 +236,37 @@ class TestSupportAndGuards:
         assert isinstance(x, float)
         xs = sample_truncated_normal(0.0, 1.0, 0.0, np.array([0.25, 0.5]))
         assert isinstance(xs, np.ndarray)
+
+
+class TestColumnBounds:
+    """A (rows, 1) column of bounds against a (rows, K) block: each row equals
+    the scalar call on its own bound, whichever branch the row takes."""
+
+    U = RandomStream(21).uniforms(7 * 50).reshape(7, 50)
+
+    @pytest.mark.parametrize("sampler, params, bounds", [
+        (sample_truncated_normal, (0.0, 1.0), [-5.0, 2.5, -0.1, 0.0, 7.0, -1.0, 3.0]),
+        (sample_truncated_laplace, (0.0, 1.0), [-5.0, 3.0, -0.1, 0.0, 9.0, -1.0, 0.5]),
+        (sample_truncated_rayleigh, (1.0,), [0.0, 1.0, 2.5, 0.1, 6.0, 0.0, 3.0]),
+    ], ids=["normal", "laplace", "rayleigh"])
+    def test_rows_equal_scalar_calls(self, sampler, params, bounds):
+        block = sampler(*params, np.array(bounds)[:, None], self.U)
+        assert block.shape == self.U.shape
+        for row, bound, u in zip(block, bounds, self.U):
+            np.testing.assert_array_equal(row, sampler(*params, bound, u))
+
+    def test_tail_refusal_names_the_deepest_row(self):
+        bounds = np.array([[0.0], [40.7], [9.0], [1.0]])
+        with pytest.raises(TailUnderflowError, match=r"tail mass 0\.000e\+00 "
+                                                     r"\(standardized bound 40\.7\)"):
+            sample_truncated_normal(0.0, 1.0, bounds, self.U[:4])
+
+    def test_rayleigh_rejects_a_negative_row(self):
+        with pytest.raises(ParameterError, match="got -0.5"):
+            sample_truncated_rayleigh(1.0, np.array([[1.0], [-0.5]]), self.U[:2])
+
+    def test_column_needs_one_row_of_uniforms_each(self):
+        with pytest.raises(ParameterError):
+            sample_truncated_normal(0.0, 1.0, np.array([[0.0], [1.0]]), self.U[:3])
+        with pytest.raises(ParameterError):
+            sample_truncated_laplace(0.0, 1.0, np.array([0.0, 1.0]), self.U[:2])
