@@ -57,10 +57,15 @@ class CensoredSample:
             delta = delta.astype(np.int64)
         else:
             delta = delta.astype(np.int64)
-        w.setflags(write=False)
-        delta.setflags(write=False)
+        observed, censored = delta == 1, delta == 0
         self._w = w
         self._delta = delta
+        self._uncensored = w[observed]
+        self._censor_times = w[censored]
+        self._censored_indices = np.nonzero(censored)[0]
+        self._m = int(np.count_nonzero(observed))
+        for a in (w, delta, self._uncensored, self._censor_times, self._censored_indices):
+            a.setflags(write=False)
 
     @property
     def w(self) -> np.ndarray:
@@ -78,22 +83,22 @@ class CensoredSample:
     @property
     def m(self) -> int:
         """Number of exactly observed units."""
-        return int(np.count_nonzero(self._delta == 1))
+        return self._m
 
     @property
     def uncensored(self) -> np.ndarray:
-        """Values observed exactly."""
-        return self._w[self._delta == 1]
+        """Values observed exactly (read-only, computed once)."""
+        return self._uncensored
 
     @property
     def censor_times(self) -> np.ndarray:
-        """Censoring bounds of the unobserved units."""
-        return self._w[self._delta == 0]
+        """Censoring bounds of the unobserved units (read-only, computed once)."""
+        return self._censor_times
 
     @property
     def censored_indices(self) -> np.ndarray:
         """Original positions of the censored units (stable unit labels)."""
-        return np.nonzero(self._delta == 0)[0]
+        return self._censored_indices
 
     def __len__(self) -> int:
         return self.n
@@ -131,20 +136,63 @@ def observed_loglik(sample: CensoredSample, params: ParamSet) -> float:
     """Log-likelihood of the censored sample: exact points contribute the log
     density, censored points the log survival at their bound.
 
-    Returns ``-inf`` if any exact observation has zero density.  Summation is
-    compensated, so the result does not depend on the order of the units.
+    Returns ``-inf`` if any exact observation has zero density.  The terms are
+    added by :func:`exact_sum`, which equals ``math.fsum`` of them: the result
+    is the correctly rounded total and does not depend on the order of the
+    units.
     """
-    terms = []
+    parts = []
     y = sample.uncensored
     if y.size:
         lp = np.atleast_1d(np.asarray(params.logpdf(y)))
         if np.any(np.isneginf(lp)):
             return -math.inf
-        terms.extend(lp.tolist())
+        parts.append(lp)
     r = sample.censor_times
     if r.size:
-        terms.extend(np.atleast_1d(np.asarray(params.log_survival(r))).tolist())
-    return math.fsum(terms)
+        parts.append(np.atleast_1d(np.asarray(params.log_survival(r))))
+    return exact_sum(np.concatenate(parts)) if parts else 0.0
+
+
+# exact_sum hands arrays shorter than this to math.fsum, which is then faster.
+_EXACT_MIN_TERMS = 1024
+# Exponent range of the extraction constant 2**e: 2**e stays finite, and
+# 2**-53 * 2**e, the grid the extracted parts lie on, stays a normal number.
+_SIGMA_EXP_MIN, _SIGMA_EXP_MAX = -969, 1023
+
+
+def exact_sum(a) -> float:
+    """``math.fsum(a.tolist())`` of a float array, in a few NumPy passes.
+
+    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
+    summation, part I", SIAM J. Sci. Comput. 31:189, 2008): with
+    sigma = 2**e >= 2**M * max|p| and 2**M > n + 1, q = (sigma + p) - sigma
+    lies on the grid 2**(e - 53) below sigma / 2**M in magnitude, so
+    ``np.sum(q)`` is exact in any order and p - q is exact.  Each round takes
+    53 - M bits off every term; zeros are dropped and the rounds repeat on
+    what is left.  ``math.fsum`` of the round totals and of the few terms
+    left is then the correctly rounded sum of ``a``.  Short arrays, any
+    non-finite term and sigma outside the normal range go to ``math.fsum``
+    directly, so every inf, nan, ``ValueError`` and ``OverflowError`` is
+    the one ``math.fsum`` gives.
+    """
+    p = np.asarray(a, dtype=float).ravel()
+    totals, work = [], np.empty(p.size)
+    while p.size >= _EXACT_MIN_TERMS:
+        # NumPy's max and min propagate nan, so a nan or an infinity fails the test
+        top = max(float(p.max()), -float(p.min()))
+        if not 0.0 < top < math.inf:
+            break
+        e = math.frexp(top)[1] + (p.size + 1).bit_length()
+        if not _SIGMA_EXP_MIN <= e <= _SIGMA_EXP_MAX:
+            break
+        sigma = math.ldexp(1.0, e)
+        q = work[:p.size]
+        np.subtract(np.add(p, sigma, out=q), sigma, out=q)
+        totals.append(float(np.sum(q)))
+        np.subtract(p, q, out=q)
+        p = q[q != 0.0]
+    return math.fsum(totals + p.tolist())
 
 
 def validate(sample: CensoredSample, family: Family | None = None) -> list[str]:

@@ -11,6 +11,10 @@ observations balance, an entire interval between two adjacent order
 statistics attains the maximum.  The simplex stops somewhere on that flat
 segment; the result is canonicalized to the segment midpoint (the usual
 sample-median convention) so the reported location is well defined.
+
+``scipy.optimize`` is imported on the first direct fit, not with the
+package: only this route needs it, and it is the largest import of
+``cemfit``.  ``minimize`` and ``minimize_scalar`` here forward to SciPy's.
 """
 
 from __future__ import annotations
@@ -19,9 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
-from .censoring import CensoredSample, ensure_fittable, observed_loglik
+from .censoring import CensoredSample, ensure_fittable, exact_sum, observed_loglik
 from .distributions import Family, Laplace, ParamSet, Rayleigh
 from .exceptions import NonConvergenceError, ParameterError
 from .fitting import Algorithm, FitConfig, default_start
@@ -43,6 +46,18 @@ class OptimizerReport:
     iterations: int
     converged: bool
     gradient_norm: float
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
+
+
+def minimize_scalar(*args, **kwargs):
+    """``scipy.optimize.minimize_scalar``, imported on first use."""
+    from scipy.optimize import minimize_scalar as scipy_minimize_scalar
+    return scipy_minimize_scalar(*args, **kwargs)
 
 
 # Simplex searches per fit: the start and two perturbations on each side.
@@ -187,5 +202,5 @@ def rayleigh_mle_closed_form(sample: CensoredSample) -> Rayleigh:
     observations.
     """
     ensure_fittable(sample, Family.RAYLEIGH)
-    b2 = math.fsum(sample.w * sample.w) / (2.0 * sample.m)
+    b2 = exact_sum(sample.w * sample.w) / (2.0 * sample.m)
     return Rayleigh(math.sqrt(b2))

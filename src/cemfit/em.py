@@ -17,12 +17,11 @@ reuses it on draw averages.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .censoring import CensoredSample, ensure_fittable, observed_loglik
+from .censoring import CensoredSample, ensure_fittable, exact_sum, observed_loglik
 from .distributions import Family, Normal, mills_ratio
 from .exceptions import DegenerateDataError, ParameterError
 from .fitting import Algorithm, FitConfig, FitTrace, TraceRow, default_start
@@ -48,14 +47,14 @@ def e_step(sample: CensoredSample, params: Normal) -> NormalSuffStats:
     """Expected sufficient statistics given the sample and current parameters."""
     y = sample.uncensored
     bounds = sample.censor_times
-    t1 = math.fsum(y)
-    t2 = math.fsum(y * y)
+    t1 = exact_sum(y)
+    t2 = exact_sum(y * y)
     if bounds.size == 0:
         return NormalSuffStats(t1, t2, 0.0, 0.0)
     mu, sigma = params.mu, params.sigma
     h = np.atleast_1d(np.asarray(mills_ratio((bounds - mu) / sigma)))
-    s1 = math.fsum(mu + sigma * h)
-    s2 = math.fsum(mu * mu + params.sigma2 + (mu + bounds) * sigma * h)
+    s1 = exact_sum(mu + sigma * h)
+    s2 = exact_sum(mu * mu + params.sigma2 + (mu + bounds) * sigma * h)
     return NormalSuffStats(t1, t2, s1, s2)
 
 

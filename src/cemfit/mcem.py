@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .censoring import CensoredSample, ensure_fittable, observed_loglik
+from .censoring import CensoredSample, ensure_fittable, exact_sum, observed_loglik
 from .distributions import Family, Laplace, Normal, Rayleigh
 from .em import NormalSuffStats, m_step
 from .exceptions import DegenerateDataError, ParameterError
@@ -104,7 +104,7 @@ def weighted_median(values, weights, singles=()) -> float:
 
 def _fsum_rows(parts: list[np.ndarray]) -> float:
     """Exactly rounded total of per-unit sums held as a list of arrays."""
-    return math.fsum(x for part in parts for x in part.tolist())
+    return exact_sum(np.concatenate(parts)) if parts else 0.0
 
 
 @dataclass
@@ -112,11 +112,11 @@ class MonteCarloAccumulator:
     """Totals over the censored units' conditional draws.
 
     ``v1``/``v2`` are the grand totals of the draws and their squares: the
-    exactly rounded (``math.fsum``) sums of each unit's row sums, so they do
-    not depend on how the units were chunked.  ``blocks`` holds the
-    (units × K) chunks of draws themselves only when asked to keep them (the
-    Laplace median needs every draw); otherwise it is empty and the
-    accumulator holds one chunk at a time.
+    exactly rounded sums of each unit's row sums (``censoring.exact_sum``,
+    equal to ``math.fsum``), so they do not depend on how the units were
+    chunked.  ``blocks`` holds the (units × K) chunks of draws themselves
+    only when asked to keep them (the Laplace median needs every draw);
+    otherwise it is empty and the accumulator holds one chunk at a time.
     """
 
     v1: float
@@ -173,7 +173,7 @@ def mcem_step_normal(sample: CensoredSample, params: Normal, k: int,
     y = sample.uncensored
     acc = MonteCarloAccumulator.from_blocks(
         _draw_blocks(sample, k, stream, sample_truncated_normal, params.mu, params.sigma))
-    return m_step(NormalSuffStats(math.fsum(y), math.fsum(y * y), acc.v1 / k, acc.v2 / k),
+    return m_step(NormalSuffStats(exact_sum(y), exact_sum(y * y), acc.v1 / k, acc.v2 / k),
                   sample.n)
 
 
@@ -190,7 +190,7 @@ def mcem_step_laplace(sample: CensoredSample, params: Laplace, k: int,
         _draw_blocks(sample, k, stream, sample_truncated_laplace, params.mu, params.sigma),
         keep=True)
     loc = weighted_median(y, np.full(y.size, k, dtype=np.int64), acc.blocks)
-    scale = (math.fsum(np.abs(y - loc)) + acc.abs_deviation(loc) / k) / sample.n
+    scale = (exact_sum(np.abs(y - loc)) + acc.abs_deviation(loc) / k) / sample.n
     if not (scale > 0.0):
         raise DegenerateDataError(f"update produced nonpositive scale {scale:.3e}")
     return Laplace(loc, scale)
@@ -202,7 +202,7 @@ def mcem_step_rayleigh(sample: CensoredSample, params: Rayleigh, k: int,
     y = sample.uncensored
     acc = MonteCarloAccumulator.from_blocks(
         _draw_blocks(sample, k, stream, sample_truncated_rayleigh, params.beta))
-    b2 = (math.fsum(y * y) + acc.v2 / k) / (2.0 * sample.n)
+    b2 = (exact_sum(y * y) + acc.v2 / k) / (2.0 * sample.n)
     if not (b2 > 0.0):
         raise DegenerateDataError(f"update produced nonpositive squared scale {b2:.3e}")
     return Rayleigh(math.sqrt(b2))

@@ -37,6 +37,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             s.delta[0] = 0
 
+    def test_split_is_computed_once_and_read_only(self):
+        rng = np.random.default_rng(2)
+        w = rng.normal(size=200)
+        delta = rng.integers(0, 2, 200)
+        delta[5] = 2  # out of range; validate reports it, the split skips it
+        s = CensoredSample(w, delta)
+        assert_array_equal(s.uncensored, w[delta == 1])
+        assert_array_equal(s.censor_times, w[delta == 0])
+        assert_array_equal(s.censored_indices, np.nonzero(delta == 0)[0])
+        assert s.m == np.count_nonzero(delta == 1)
+        for name in ("uncensored", "censor_times", "censored_indices"):
+            a = getattr(s, name)
+            assert a is getattr(s, name)  # computed once, not on each access
+            with pytest.raises(ValueError):
+                a[0] = 0
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DataError):
             CensoredSample([1.0, 2.0], [1])
@@ -124,6 +140,19 @@ class TestObservedLoglik:
             perm = rng.permutation(30)
             shuffled = CensoredSample(w[perm], delta[perm])
             assert abs(observed_loglik(shuffled, p) - base) <= 1e-12 * abs(base)
+
+    @pytest.mark.parametrize("params", [Normal(0.4, 1.3), Laplace(0.2, 0.9), Rayleigh(1.1)])
+    def test_sum_is_exact_whatever_the_order(self, params):
+        # n = 5000 is above exact_sum's fsum threshold; a plain np.sum of the
+        # terms changes in the last bits when the units are shuffled
+        rng = np.random.default_rng(3)
+        w = rng.rayleigh(1.0, 5000) if params.family is Family.RAYLEIGH else rng.normal(0.0, 1.0, 5000)
+        delta = (rng.uniform(size=5000) < 0.7).astype(int)
+        s = CensoredSample(w, delta)
+        base = observed_loglik(s, params)
+        for _ in range(20):
+            perm = rng.permutation(5000)
+            assert observed_loglik(CensoredSample(w[perm], delta[perm]), params) == base
 
     def test_type2_reduction_matches_joint_density(self):
         # the two likelihoods differ only by an additive combinatorial

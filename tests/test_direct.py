@@ -1,6 +1,10 @@
 """Direct likelihood maximization against exact and tabulated oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,3 +278,23 @@ class TestScaleFreeConvergence:
         assert main(["fit", "--family", "normal", "--algorithm", "direct",
                      "--data", str(data)]) == 0
         assert "converged: yes" in capsys.readouterr().out
+
+
+class TestLazyOptimizeImport:
+    def test_scipy_optimize_loads_on_the_first_direct_fit(self):
+        # a fresh interpreter: this test session has long imported scipy.optimize
+        code = (
+            "import sys, cemfit, cemfit.cli\n"
+            "from cemfit.datasets import example_rayleigh\n"
+            "before = 'scipy.optimize' in sys.modules\n"
+            "cemfit.fit_direct(example_rayleigh(),"
+            " cemfit.FitConfig(cemfit.Family.RAYLEIGH, cemfit.Algorithm.DIRECT))\n"
+            "print(before, 'scipy.optimize' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
