@@ -72,17 +72,12 @@ def m_step(stats: NormalSuffStats, n: int) -> Normal:
 
 
 def fit_em(sample: CensoredSample, config: FitConfig) -> FitTrace:
-    """Run the closed-form EM iteration for the normal family.
+    """Run the closed-form EM iteration (``FitConfig`` allows it for the normal family only).
 
     Stops when both reported parameters move less than ``config.tol``
     between sweeps, or after ``max_iter`` sweeps (non-convergence is flagged
     on the trace, not raised).  Row 0 of the trace is the starting point.
     """
-    if config.family is not Family.NORMAL:
-        raise ParameterError(
-            "closed-form EM updates exist only for the normal family; "
-            "use Monte Carlo EM or direct maximization instead"
-        )
     if config.algorithm is not Algorithm.EM:
         raise ParameterError(f"fit_em called with algorithm {config.algorithm}")
     ensure_fittable(sample, Family.NORMAL)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import math
 from dataclasses import dataclass, field
 
 from .censoring import CensoredSample
@@ -40,9 +39,8 @@ class FitConfig:
 
     ``max_iter=None`` resolves to the algorithm's own default: 500 for the
     closed-form EM iteration, 15 for Monte Carlo EM (whose default stopping
-    rule is the iteration budget itself).  ``k`` and ``k_growth`` only apply
-    to Monte Carlo EM: iteration s uses ceil(k * k_growth**(s-1)) replicates
-    per censored unit.
+    rule is the iteration budget itself).  ``k``, the replicates per censored
+    unit in every iteration, only applies to Monte Carlo EM.
     """
 
     family: Family
@@ -52,7 +50,6 @@ class FitConfig:
     max_iter: int | None = None
     tol: float = 1e-8
     seed: int = DEFAULT_SEED
-    k_growth: float = 1.0
 
     def __post_init__(self):
         if not isinstance(self.family, Family):
@@ -78,19 +75,11 @@ class FitConfig:
         self.seed = int(self.seed)
         if not 0 <= self.seed < 2**64:
             raise ParameterError("seed must fit in an unsigned 64-bit integer")
-        if not (self.k_growth >= 1.0 and math.isfinite(self.k_growth)):
-            raise ParameterError("k_growth must be >= 1")
 
     def resolved_max_iter(self) -> int:
         if self.max_iter is not None:
             return int(self.max_iter)
         return 15 if self.algorithm is Algorithm.MCEM else 500
-
-    def k_at(self, s: int) -> int:
-        """Replicates per censored unit at iteration s >= 1."""
-        if self.k_growth == 1.0:
-            return self.k
-        return int(math.ceil(self.k * self.k_growth ** (s - 1)))
 
 
 @dataclass(frozen=True)

@@ -234,7 +234,7 @@ def fit_mcem(sample: CensoredSample, config: FitConfig) -> FitTrace:
     max_iter = config.resolved_max_iter()
     small_changes = 0
     for s in range(1, max_iter + 1):
-        new = step(sample, params, config.k_at(s), root.substream(s))
+        new = step(sample, params, config.k, root.substream(s))
         trace.rows.append(TraceRow(s, new, observed_loglik(sample, new)))
         delta = max(abs(a - b) for a, b in zip(new.reported(), params.reported()))
         params = new

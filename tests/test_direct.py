@@ -11,17 +11,13 @@ import pytest
 
 from cemfit.censoring import CensoredSample, observed_loglik, write_censored_csv
 from cemfit.cli import main
-from cemfit.datasets import example_laplace, example_normal, example_rayleigh
-from cemfit.direct import (
-    _start_list,
-    fit_direct,
-    loglik_gradient_norm,
-    rayleigh_mle_closed_form,
-)
+from cemfit.datasets import dataset_path, example_laplace, example_normal, example_rayleigh
+import cemfit.direct
+from cemfit.direct import fit_direct, loglik_gradient_norm, rayleigh_mle_closed_form
 from cemfit.distributions import Family, Laplace, Normal, Rayleigh
 from cemfit.em import fit_em
-from cemfit.exceptions import DataError, ParameterError
-from cemfit.fitting import Algorithm, FitConfig
+from cemfit.exceptions import DataError, NonConvergenceError, ParameterError
+from cemfit.fitting import Algorithm, FitConfig, default_start
 
 import reference_values as rv
 
@@ -235,21 +231,89 @@ class TestGuards:
         assert loglik_gradient_norm(sample, Normal(1.0, 1.0)) > 1.0
 
 
-class TestStartFan:
-    @pytest.mark.parametrize("base", [Normal(1.7, 0.09), Laplace(-2.5, 0.3)], ids=repr)
-    def test_location_scale_fan(self, base):
-        mu, s = base.reported()
-        expected = [(mu, s), (mu + s / 2, 2 * s), (mu - s / 2, s / 2),
-                    (mu + s, 4 * s), (mu - s, s / 4)]
-        starts = _start_list(base, 5)
-        assert all(type(p) is type(base) for p in starts)
-        for got, want in zip(starts, expected, strict=True):
-            assert got.reported() == pytest.approx(want, rel=1e-15, abs=0)
+def _reference_mle(family, sample):
+    """The independent oracle each family's direct fit is checked against."""
+    if family is Family.NORMAL:
+        return fit_em(sample, FitConfig(Family.NORMAL, Algorithm.EM,
+                                        tol=1e-12, max_iter=5000)).final
+    if family is Family.LAPLACE:
+        return laplace_mle_single_censor_time(sample)
+    return rayleigh_mle_closed_form(sample)
 
-    def test_rayleigh_fan(self):
-        beta = 6.1341
-        starts = _start_list(Rayleigh(beta), 5)
-        assert [p.beta for p in starts] == [beta * f for f in (1, 2, 0.5, 4, 0.25)]
+
+BUNDLED = {Family.NORMAL: example_normal, Family.LAPLACE: example_laplace,
+           Family.RAYLEIGH: example_rayleigh}
+
+# (family, location shift in scales, scale factor) away from the moment start
+FAR_STARTS = [
+    (family, shift, factor)
+    for family in BUNDLED
+    for shift in ((0.0,) if family is Family.RAYLEIGH else (0.0, -20.0, 20.0))
+    for factor in (1e-3, 1.0, 1e3)
+    if (shift, factor) != (0.0, 1.0)
+]
+
+
+class TestOneSearch:
+    """Every family's censored log-likelihood has a single maximum, so one
+    simplex search per fit reaches it, even from a start far away."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+        real = cemfit.direct.minimize
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cemfit.direct, "minimize", counting)
+        return calls
+
+    @pytest.mark.parametrize("family", list(BUNDLED), ids=str)
+    def test_one_search_per_fit(self, family, searches):
+        fit_direct(BUNDLED[family](), direct_config(family))
+        assert len(searches) == 1
+
+    @pytest.mark.parametrize("family, shift, factor", FAR_STARTS, ids=str)
+    def test_far_start_reaches_the_reference(self, family, shift, factor, searches):
+        sample = BUNDLED[family]()
+        base = default_start(sample, family)
+        *loc, scale = base.reported()
+        start = type(base).from_reported(*(v + shift * scale for v in loc), scale * factor)
+        report = fit_direct(sample, FitConfig(family, Algorithm.DIRECT, start=start))
+        assert len(searches) == 1
+        assert report.converged
+        ref = _reference_mle(family, sample).reported()
+        for got, want in zip(report.argmax.reported(), ref, strict=True):
+            assert got == pytest.approx(want, rel=0, abs=1e-6 * ref[-1])
+
+
+class TestNonConvergence:
+    """A search cut short by its iteration cap is reported, not hidden."""
+
+    @pytest.fixture(autouse=True)
+    def capped_search(self, monkeypatch):
+        real = cemfit.direct.minimize
+
+        def capped(fun, x0, **kwargs):
+            return real(fun, x0, **{**kwargs, "options": {**kwargs["options"], "maxiter": 3}})
+
+        monkeypatch.setattr(cemfit.direct, "minimize", capped)
+
+    def test_raises_with_a_consistent_report(self):
+        sample = example_normal()
+        with pytest.raises(NonConvergenceError) as info:
+            fit_direct(sample, direct_config(Family.NORMAL))
+        report = info.value.report
+        assert not report.converged
+        assert report.iterations == 3
+        assert report.loglik == observed_loglik(sample, report.argmax)
+
+    def test_cli_says_so_and_exits_two(self, capsys):
+        assert main(["fit", "--family", "normal", "--algorithm", "direct",
+                     "--data", str(dataset_path("normal_type2"))]) == 2
+        assert "converged: no" in capsys.readouterr().out
 
 
 class TestScaleFreeConvergence:

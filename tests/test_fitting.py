@@ -25,7 +25,6 @@ class TestFitConfig:
         assert cfg.k == 50_000
         assert cfg.tol == 1e-8
         assert cfg.seed == DEFAULT_SEED == 0
-        assert cfg.k_growth == 1.0
         assert cfg.start is None
 
     def test_resolved_max_iter_defaults_per_algorithm(self):
@@ -55,16 +54,6 @@ class TestFitConfig:
             FitConfig(Family.NORMAL, Algorithm.EM, max_iter=0)
         with pytest.raises(ParameterError):
             FitConfig(Family.NORMAL, Algorithm.EM, seed=-1)
-        with pytest.raises(ParameterError):
-            FitConfig(Family.NORMAL, Algorithm.MCEM, k_growth=0.5)
-
-    def test_replicate_schedule(self):
-        cfg = FitConfig(Family.NORMAL, Algorithm.MCEM, k=1000, k_growth=1.5)
-        assert cfg.k_at(1) == 1000
-        assert cfg.k_at(2) == 1500
-        assert cfg.k_at(3) == 2250
-        flat = FitConfig(Family.NORMAL, Algorithm.MCEM, k=1000)
-        assert [flat.k_at(s) for s in (1, 5, 15)] == [1000, 1000, 1000]
 
 
 class TestTrace:
