@@ -8,11 +8,15 @@ maximum: it is concave in (mu/sigma, 1/sigma) for the log-concave normal and
 Laplace (Pratt, JASA 76:103, 1981) and in 1/beta**2 for the Rayleigh.
 
 The Laplace likelihood needs one extra step.  Its location profile is
-piecewise smooth with kinks at the data values, and when the exact
-observations balance, an entire interval between two adjacent order
-statistics attains the maximum.  The simplex stops somewhere on that flat
-segment; the result is canonicalized to the segment midpoint (the usual
-sample-median convention) so the reported location is well defined.
+concave with kinks at the exact values, where the simplex stops only
+approximately, and when the exact observations balance, an entire interval
+between two data values attains the maximum.  Bisection on the exact
+one-sided location slopes over the sorted exact values (O(log n) slope
+evaluations, no likelihood evaluation) puts the location on the maximizing
+kink, or on the midpoint of a flat top (the usual sample-median
+convention).  The same slopes give the Laplace location score: at a kink it
+is the minimum-norm subgradient element, 0 at a maximum, so ``converged``
+holds there as at a smooth maximum.
 
 ``scipy.optimize`` is imported on the first direct fit, not with the
 package: only this route needs it, and it is the largest import of
@@ -21,6 +25,7 @@ package: only this route needs it, and it is the largest import of
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -73,16 +78,42 @@ def _unpack(cls: type, x: np.ndarray) -> ParamSet:
     return cls.from_reported(*loc, math.exp(log_scale))
 
 
-def loglik_gradient_norm(sample: CensoredSample, params: ParamSet) -> float:
-    """Euclidean norm of the central-difference score at ``params``.
+def _laplace_slopes(x: np.ndarray, c: np.ndarray, mu: float, sigma: float) -> tuple[float, float]:
+    """Sigma times the left and right slopes of the Laplace log-likelihood in
+    the location at ``mu``, with exact values ``x`` and bounds ``c`` sorted.
 
-    Differences are taken in the reported coordinates (location and scale,
-    not variance) with step 1e-6 times the coordinate's magnitude.
+    An exact value counts +1 above ``mu``, -1 below it and +-1 at it (the
+    kink); a bound counts +1 at or above ``mu`` and e**z / (2 - e**z) below
+    it, z = (bound - mu) / sigma.  Each slope adds one integer to one
+    correctly rounded sum, so its sign is exact when no bound lies below.
+    """
+    lo, hi = np.searchsorted(x, mu, "left"), np.searchsorted(x, mu, "right")
+    below = int(np.searchsorted(c, mu, "left"))
+    e = np.exp((c[:below] - mu) / sigma)
+    smooth = exact_sum(e / (2.0 - e))
+    counts = int(x.size - hi - lo + c.size - below)
+    tied = int(hi - lo)
+    return (counts + tied) + smooth, (counts - tied) + smooth
+
+
+def loglik_gradient_norm(sample: CensoredSample, params: ParamSet) -> float:
+    """Euclidean norm of the score at ``params``.
+
+    Each component is a central difference in the reported coordinates
+    (location and scale, not variance) with step 1e-6 times the coordinate's
+    magnitude, except the Laplace location: it has kinks at the exact
+    values, so its component is the minimum-norm element of the exact
+    subgradient, 0 where the one-sided slopes bracket 0, else the slope
+    nearer 0.
     """
     vec = list(params.reported())
     make = type(params).from_reported
     grads = []
-    for j in range(len(vec)):
+    if isinstance(params, Laplace):
+        left, right = _laplace_slopes(np.sort(sample.uncensored), np.sort(sample.censor_times),
+                                      params.mu, params.sigma)
+        grads.append((max(right, 0.0) + min(left, 0.0)) / params.sigma)
+    for j in range(len(grads), len(vec)):
         h = 1e-6 * max(1.0, abs(vec[j]))
         # keep scale coordinates positive under perturbation
         if j == len(vec) - 1 and vec[j] - h <= 0.0:
@@ -97,20 +128,28 @@ def loglik_gradient_norm(sample: CensoredSample, params: ParamSet) -> float:
 
 
 def _canonicalize_laplace(sample: CensoredSample, best: Laplace) -> Laplace:
-    """Pin the location to the midpoint of its flat maximizing segment.
+    """Put the location on the exact maximum of its profile at ``best.sigma``.
 
-    The location profile at fixed scale is concave with kinks at the data
-    values; candidates are evaluated there and a flat top (within relative
-    1e-9 of the best) is replaced by its midpoint.  The scale is then
-    re-optimized on the log axis at the pinned location.
+    The profile is concave with kinks at the exact values, so its slope is
+    monotone: bisection over the sorted exact values finds the first kink
+    whose right slope is <= 0.  If that slope is exactly 0 with no bound at
+    or below the kink, the top is flat up to the next data value and the
+    location is the segment midpoint (the usual sample-median convention).
+    Else if the left slope is >= 0 the maximum is the kink itself; otherwise
+    the slope crosses 0 inside a smooth segment and the simplex's location
+    stays.  The scale is then re-optimized on the log axis at that location.
     """
-    candidates = np.unique(np.concatenate([sample.w, [best.mu]]))
-    values = np.array([
-        observed_loglik(sample, Laplace(float(c), best.sigma)) for c in candidates
-    ])
-    top = values.max()
-    flat = candidates[values >= top - 1e-9 * (1.0 + abs(top))]
-    loc = 0.5 * (flat.min() + flat.max()) if flat.size > 1 else float(candidates[np.argmax(values)])
+    x, c = np.sort(sample.uncensored), np.sort(sample.censor_times)
+    at = bisect.bisect_left(
+        x, True, key=lambda v: _laplace_slopes(x, c, float(v), best.sigma)[1] <= 0.0)
+    loc = best.mu
+    if at < x.size:
+        kink = float(x[at])
+        left, right = _laplace_slopes(x, c, kink, best.sigma)
+        if right == 0.0 and not np.any(c <= kink):
+            loc = 0.5 * (kink + float(sample.w[sample.w > kink].min()))
+        elif left >= 0.0:
+            loc = kink
     t0 = math.log(best.sigma)
     res = minimize_scalar(
         lambda t: -observed_loglik(sample, Laplace(loc, math.exp(t))),

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cemfit.censoring import CensoredSample, observed_loglik, write_censored_csv
 from cemfit.cli import main
@@ -165,6 +167,181 @@ class TestLaplaceDirect:
             done += 1
 
 
+def scan_canonical(sample, best):
+    """The former canonicalization, kept as an oracle: one log-likelihood
+    evaluation per data value, a flat top (within relative 1e-9 of the best)
+    replaced by its midpoint, then the same scale refit and guard."""
+    candidates = np.unique(np.concatenate([sample.w, [best.mu]]))
+    values = np.array([
+        observed_loglik(sample, Laplace(float(c), best.sigma)) for c in candidates
+    ])
+    top = values.max()
+    flat = candidates[values >= top - 1e-9 * (1.0 + abs(top))]
+    loc = 0.5 * (flat.min() + flat.max()) if flat.size > 1 else float(candidates[np.argmax(values)])
+    t0 = math.log(best.sigma)
+    res = cemfit.direct.minimize_scalar(
+        lambda t: -observed_loglik(sample, Laplace(loc, math.exp(t))),
+        bounds=(t0 - 5.0, t0 + 5.0),
+        method="bounded",
+        options={"xatol": 1e-13},
+    )
+    refined = Laplace(loc, math.exp(float(res.x)))
+    base = observed_loglik(sample, best)
+    if observed_loglik(sample, refined) >= base - 1e-9 * (1.0 + abs(base)):
+        return refined
+    return best
+
+
+def simplex_point(sample):
+    """The Laplace simplex argmax that ``fit_direct`` hands to canonicalization."""
+    seen = []
+    real = cemfit.direct._canonicalize_laplace
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cemfit.direct, "_canonicalize_laplace",
+                   lambda s, best: seen.append(best) or real(s, best))
+        try:
+            fit_direct(sample, direct_config(Family.LAPLACE))
+        except NonConvergenceError:
+            pass
+    return seen[0]
+
+
+def assert_not_lower(got, want):
+    """``got >= want`` up to the rounding of two separately refitted scales."""
+    assert got >= want - 1e-12 * (1.0 + abs(want))
+
+
+@st.composite
+def grid_samples(draw):
+    """Laplace samples on a quarter grid (so ties are exact and data values
+    are well apart), with bounds all above the exact values, mixed among them
+    or tied with them; exact values repeat once m exceeds the 81 grid points."""
+    shape = draw(st.sampled_from(["above", "mixed", "tied"]))
+    n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = int(rng.integers(2, n + 1))
+    x = rng.integers(-40, 41, m) * 0.25
+    if x.min() == x.max():
+        x[0] += 0.25
+    if shape == "above":
+        c = x.max() + rng.integers(0, 9, n - m) * 0.25
+    elif shape == "mixed":
+        c = rng.integers(-40, 41, n - m) * 0.25
+    else:
+        c = rng.choice(x, n - m)
+    return CensoredSample(np.concatenate([x, c]), np.r_[np.ones(m), np.zeros(n - m)])
+
+
+@st.composite
+def flat_top_samples(draw):
+    """m distinct exact values and c < m bounds with m + c even, every bound
+    above the (m + c)/2-th exact value: the location profile is flat from
+    that value to the next data value.  Values are multiples of 1/8, so every
+    sum here is exact."""
+    m = draw(st.integers(2, 200))
+    c = draw(st.integers(0, m - 1).filter(lambda c: (m + c) % 2 == 0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    steps = np.sort(rng.choice(np.arange(-200, 201), m, replace=False))
+    j = (m + c) // 2
+    bounds = steps[j - 1] + rng.integers(1, 50, c)
+    top = (steps[j - 1] / 8, min(([steps[j]] if j < m else []) + list(bounds)) / 8)
+    w = np.concatenate([steps, bounds]) / 8
+    return top, CensoredSample(w, np.r_[np.ones(m), np.zeros(c)])
+
+
+class TestLaplaceCanonicalization:
+    """Bisection on the exact location subgradient finds what the
+    one-evaluation-per-data-value scan found."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sample=grid_samples())
+    def test_matches_the_scan(self, sample):
+        best = simplex_point(sample)
+        got = cemfit.direct._canonicalize_laplace(sample, best)
+        want = scan_canonical(sample, best)
+        if got.mu != pytest.approx(want.mu, rel=0, abs=1e-9 * best.sigma):
+            # the scan calls every candidate within relative 1e-9 of its top
+            # flat and takes their midpoint; beside a kink with a bound on it
+            # the profile falls off only quadratically, so the simplex point
+            # and that kink both pass and the scan lands between them
+            assert any(want.mu == 0.5 * (v + best.mu) for v in np.unique(sample.w))
+        assert_not_lower(observed_loglik(sample, got), observed_loglik(sample, want))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=flat_top_samples())
+    def test_flat_top_is_its_midpoint(self, case):
+        (left, right), sample = case
+        best = simplex_point(sample)
+        got = cemfit.direct._canonicalize_laplace(sample, best)
+        assert got.mu == 0.5 * (left + right)
+        want = scan_canonical(sample, best)
+        assert got.mu == want.mu
+        assert_not_lower(observed_loglik(sample, got), observed_loglik(sample, want))
+
+    @pytest.mark.parametrize("n", [200, 20_000])
+    def test_evaluations_do_not_grow_with_n(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        x, bound = rng.laplace(1.0, 2.0, n), rng.normal(2.0, 3.0, n)
+        sample = CensoredSample(np.minimum(x, bound), (x <= bound).astype(int))
+        calls = []
+        real = cemfit.direct.observed_loglik
+        monkeypatch.setattr(cemfit.direct, "observed_loglik",
+                            lambda *a: calls.append(1) or real(*a))
+        cemfit.direct._canonicalize_laplace(sample, Laplace(1.0, 2.0))
+        assert len(calls) <= 100
+
+
+def kink_sample():
+    """Laplace(1, 2) lifetimes under N(2, 3) bounds whose maximum sits on a
+    kink with bounds below it (one-sided slopes +0.29 and -1.71 per sigma)."""
+    rng = np.random.default_rng(7)
+    n = int(rng.integers(20, 400))
+    x, bound = rng.laplace(1.0, 2.0, n), rng.normal(2.0, 3.0, n)
+    return CensoredSample(np.minimum(x, bound), (x <= bound).astype(int))
+
+
+class TestLaplaceKink:
+    """At a kink the score is the minimum-norm subgradient element, so a
+    maximum there reads as converged and a point beside it does not."""
+
+    def test_fit_at_a_kink_converges(self):
+        sample = kink_sample()
+        report = fit_direct(sample, direct_config(Family.LAPLACE))
+        assert report.converged
+        assert report.argmax.mu in sample.uncensored
+        assert type(report.argmax.mu) is float
+        assert report.gradient_norm * report.argmax.sigma / sample.n <= 1e-6
+
+    def test_cli_exits_zero(self, tmp_path, capsys):
+        data = tmp_path / "kink.csv"
+        write_censored_csv(data, kink_sample())
+        assert main(["fit", "--family", "laplace", "--algorithm", "direct",
+                     "--data", str(data)]) == 0
+        assert "converged: yes" in capsys.readouterr().out
+
+    def test_shifted_point_reads_unconverged(self):
+        sample = kink_sample()
+        mu, sigma = fit_direct(sample, direct_config(Family.LAPLACE)).argmax.reported()
+        h = 1e-7 * sigma
+        for shift in (-0.1, 0.1):
+            at = mu + shift * sigma
+            slope = (observed_loglik(sample, Laplace(at + h, sigma))
+                     - observed_loglik(sample, Laplace(at - h, sigma))) / (2.0 * h)
+            grad = loglik_gradient_norm(sample, Laplace(at, sigma))
+            assert grad >= abs(slope) * (1.0 - 1e-6)
+            assert abs(slope) * sigma / sample.n > 1e-6
+
+    @pytest.mark.parametrize("start", [Laplace(0.2, 3.0), Laplace(1.7, 0.5)], ids=str)
+    def test_bound_on_the_kink_leaves_no_flat_top(self, start):
+        # at 1 the right slope is exactly 0 (1 above, 1 below, the tie, the
+        # bound), but past it the bound lies below the location, so the
+        # profile falls off and the maximum is the kink, not a midpoint
+        sample = CensoredSample([0.0, 1.0, 2.0, 1.0], [1, 1, 1, 0])
+        report = fit_direct(sample, FitConfig(Family.LAPLACE, Algorithm.DIRECT, start=start))
+        assert report.argmax.mu == 1.0
+        assert report.converged
+
+
 class TestRayleighDirect:
     def test_reference_data_matches_tabulated_mle(self):
         report = fit_direct(example_rayleigh(), direct_config(Family.RAYLEIGH))
@@ -243,6 +420,13 @@ def _reference_mle(family, sample):
 
 BUNDLED = {Family.NORMAL: example_normal, Family.LAPLACE: example_laplace,
            Family.RAYLEIGH: example_rayleigh}
+
+
+@pytest.mark.parametrize("family", list(BUNDLED), ids=str)
+def test_reported_coordinates_are_python_floats(family):
+    report = fit_direct(BUNDLED[family](), direct_config(family))
+    assert all(type(v) is float for v in report.argmax.reported())
+
 
 # (family, location shift in scales, scale factor) away from the moment start
 FAR_STARTS = [
