@@ -4,8 +4,9 @@ Supports the normal, Laplace, and Rayleigh families with three routes:
 
 * ``fit_em``     closed-form EM iteration (normal family only),
 * ``fit_mcem``   Monte Carlo EM with reproducible truncated draws,
-* ``fit_direct`` derivative-free maximization of the censored likelihood,
-  used as an independent cross-check of the EM fixed points.
+* ``fit_direct`` direct maximization of the censored likelihood (Newton
+  for normal and Rayleigh, a simplex search for Laplace), used as an
+  independent cross-check of the EM fixed points.
 """
 
 from .censoring import (

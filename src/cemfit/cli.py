@@ -128,7 +128,7 @@ def _cmd_fit(args) -> int:
             opt = err.report
         trace = FitTrace(rows=[TraceRow(0, opt.argmax, opt.loglik)],
                          converged=opt.converged)
-        extra = (f"simplex iterations: {opt.iterations}  "
+        extra = (f"iterations: {opt.iterations}  "
                  f"gradient norm: {opt.gradient_norm:.3e}")
     else:
         fitter = fit_em if algorithm is Algorithm.EM else fit_mcem

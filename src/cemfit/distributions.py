@@ -3,7 +3,11 @@
 Each family is a frozen dataclass that carries its natural parameters and
 exposes ``pdf``, ``cdf``, ``survival``, ``quantile`` plus the log-space
 variants the censored likelihood needs; ``from_reported`` inverts
-``reported()`` and ``moment_start`` is the family's default start.  Methods
+``reported()`` and ``moment_start`` is the family's default start.  The
+normal and Rayleigh classes also map to coordinates in which the censored
+log-likelihood is concave (``to_concave`` / ``from_concave``) and give its
+score and Hessian there in closed form (``concave_derivatives``), plus the
+score in the reported coordinates (``reported_score``).  Methods
 accept scalars or numpy arrays and stay accurate far into the tails: the
 normal cdf/survival go through the complementary error function, the
 quantile and log-survival are SciPy's ``ndtri`` and ``log_ndtr``, and the
@@ -165,6 +169,56 @@ class Normal:
     def from_reported(cls, mu: float, sigma: float) -> "Normal":
         return cls(mu, sigma * sigma)
 
+    def to_concave(self) -> tuple[float, float]:
+        """(eta, tau) = (mu / sigma, 1 / sigma): the censored log-likelihood is
+        jointly concave in these (Pratt, JASA 76:103, 1981)."""
+        tau = 1.0 / self.sigma
+        return (self.mu * tau, tau)
+
+    @classmethod
+    def from_concave(cls, eta: float, tau: float) -> "Normal":
+        if not tau > 0.0:
+            raise ParameterError(f"tau = 1/sigma must be positive, got {tau}")
+        return cls.from_reported(eta / tau, 1.0 / tau)
+
+    def concave_derivatives(self, y: np.ndarray, c: np.ndarray, moments):
+        """Score and Hessian of the censored log-likelihood in (eta, tau).
+
+        ``y`` holds the exact values, ``c`` the bounds and ``moments`` the
+        sums (of y, of y**2, of c**2).  With a = tau*c - eta, lam the Mills
+        ratio at a and k = lam*(lam - a) (minus the second derivative of
+        the log survival in a):
+
+            g_eta = tau*sum(y) - m*eta + sum(lam)
+            g_tau = m/tau - (tau*sum(y**2) - eta*sum(y)) - sum(c*lam)
+            H = [[-m - sum(k),      sum(y) + sum(k*c)],
+                 [sum(y) + sum(k*c), -m/tau**2 - sum(y**2) - sum(k*c**2)]]
+
+        Returns Python floats, ``((g_eta, g_tau), H)``.
+        """
+        sy, syy = moments[0], moments[1]
+        eta, tau = self.to_concave()
+        m = y.size
+        a = tau * c - eta
+        lam = np.atleast_1d(mills_ratio(a))
+        # k = 1 - Var(Z | Z > a) lies in (0, 1); lam - a loses its digits for
+        # large a, so clip: with k >= 0 the Hessian stays negative definite
+        k = np.clip(lam * (lam - a), 0.0, 1.0)
+        kc = k * c
+        # m/tau and m/tau**2 as m*sigma and m*sigma2: no division to overflow
+        g = (tau * sy - m * eta + float(np.sum(lam)),
+             m * self.sigma - (tau * syy - eta * sy) - float(np.sum(c * lam)))
+        cross = sy + float(np.sum(kc))
+        h = ((-m - float(np.sum(k)), cross),
+             (cross, -m * self.sigma2 - syy - float(np.sum(kc * c))))
+        return g, h
+
+    def reported_score(self, y: np.ndarray, c: np.ndarray, moments) -> tuple[float, float]:
+        """Score in (mu, sigma), from the one in (eta, tau)."""
+        (g_eta, g_tau), _ = self.concave_derivatives(y, c, moments)
+        eta, tau = self.to_concave()
+        return (g_eta / self.sigma, -(eta * g_eta + tau * g_tau) / self.sigma)
+
     @classmethod
     def moment_start(cls, y: np.ndarray) -> "Normal":
         """Mean and variance of the exact observations; N(0, 1) if degenerate."""
@@ -290,6 +344,30 @@ class Rayleigh:
     @classmethod
     def from_reported(cls, beta: float) -> "Rayleigh":
         return cls(beta)
+
+    def to_concave(self) -> tuple[float]:
+        """theta = 1 / beta**2: the censored log-likelihood
+        m*log(theta) - theta*sum(w**2)/2 + const is concave in it."""
+        return (1.0 / self.beta / self.beta,)
+
+    @classmethod
+    def from_concave(cls, theta: float) -> "Rayleigh":
+        if not theta > 0.0:
+            raise ParameterError(f"theta = 1/beta**2 must be positive, got {theta}")
+        return cls(1.0 / math.sqrt(theta))
+
+    def concave_derivatives(self, y: np.ndarray, c: np.ndarray, moments):
+        """Score m/theta - S/2 and Hessian -m/theta**2 in theta (computed as
+        m*beta**2 and -m*beta**4), with S the sum of squares of every unit
+        (``moments``: sums of y, y**2, c**2)."""
+        b2 = self.beta * self.beta
+        m, s = y.size, moments[1] + moments[2]
+        return (m * b2 - 0.5 * s,), ((-m * b2 * b2,),)
+
+    def reported_score(self, y: np.ndarray, c: np.ndarray, moments) -> tuple[float]:
+        """Score in beta: -2m/beta + S/beta**3."""
+        b = self.beta
+        return (-2.0 * y.size / b + (moments[1] + moments[2]) / b / b / b,)
 
     @classmethod
     def moment_start(cls, y: np.ndarray) -> "Rayleigh":

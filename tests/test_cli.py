@@ -52,6 +52,18 @@ class TestFitCommand:
         assert "final: beta=6.1341" in out
         assert "gradient norm" in out
 
+    @pytest.mark.parametrize("family", ["normal", "laplace", "rayleigh"])
+    def test_direct_iterations_label_names_no_route(self, capsys, family):
+        # normal and Rayleigh fit by Newton, Laplace by a simplex search
+        code, out, _ = run(capsys, "fit", "--family", family, "--algorithm", "direct",
+                           "--data", str(dataset_path(f"{family}_type2")))
+        assert code == 0
+        summary = [line for line in out.splitlines() if "converged:" in line]
+        assert len(summary) == 1
+        assert summary[0].startswith("iterations: ")
+        assert int(summary[0].split()[1]) >= 1
+        assert "simplex" not in out
+
     def test_mcem_fit_recovers_the_rayleigh_scale(self, capsys):
         code, out, _ = run(capsys, "fit", "--family", "rayleigh", "--data", RAYLEIGH_CSV,
                            "--start", "1", "--k", "2000", "--seed", "42")

@@ -435,12 +435,20 @@ FAR_STARTS = [
     for shift in ((0.0,) if family is Family.RAYLEIGH else (0.0, -20.0, 20.0))
     for factor in (1e-3, 1.0, 1e3)
     if (shift, factor) != (0.0, 1.0)
-]
+] + [
+    # Newton from starts up to 1e10 scales off, where lam - a loses its digits
+    # in the normal Hessian
+    (Family.NORMAL, shift, factor)
+    for shift in (0.0, -1e4, 1e4)
+    for factor in (1e-10, 1e-8, 1e8, 1e10)
+] + [(Family.RAYLEIGH, 0.0, 1e-8), (Family.RAYLEIGH, 0.0, 1e8)]
 
 
 class TestOneSearch:
     """Every family's censored log-likelihood has a single maximum, so one
-    simplex search per fit reaches it, even from a start far away."""
+    search per fit reaches it, even from a start far away: Newton for the
+    normal and Rayleigh families, with no simplex search, and one simplex
+    search for Laplace."""
 
     @pytest.fixture
     def searches(self, monkeypatch):
@@ -455,9 +463,9 @@ class TestOneSearch:
         return calls
 
     @pytest.mark.parametrize("family", list(BUNDLED), ids=str)
-    def test_one_search_per_fit(self, family, searches):
+    def test_only_laplace_runs_a_simplex_search(self, family, searches):
         fit_direct(BUNDLED[family](), direct_config(family))
-        assert len(searches) == 1
+        assert len(searches) == (family is Family.LAPLACE)
 
     @pytest.mark.parametrize("family, shift, factor", FAR_STARTS, ids=str)
     def test_far_start_reaches_the_reference(self, family, shift, factor, searches):
@@ -466,7 +474,7 @@ class TestOneSearch:
         *loc, scale = base.reported()
         start = type(base).from_reported(*(v + shift * scale for v in loc), scale * factor)
         report = fit_direct(sample, FitConfig(family, Algorithm.DIRECT, start=start))
-        assert len(searches) == 1
+        assert len(searches) == (family is Family.LAPLACE)
         assert report.converged
         ref = _reference_mle(family, sample).reported()
         for got, want in zip(report.argmax.reported(), ref, strict=True):
@@ -476,8 +484,8 @@ class TestOneSearch:
 class TestNonConvergence:
     """A search cut short by its iteration cap is reported, not hidden."""
 
-    @pytest.fixture(autouse=True)
-    def capped_search(self, monkeypatch):
+    @pytest.fixture
+    def capped_simplex(self, monkeypatch):
         real = cemfit.direct.minimize
 
         def capped(fun, x0, **kwargs):
@@ -485,19 +493,65 @@ class TestNonConvergence:
 
         monkeypatch.setattr(cemfit.direct, "minimize", capped)
 
-    def test_raises_with_a_consistent_report(self):
-        sample = example_normal()
+    @pytest.fixture
+    def capped_newton(self, monkeypatch):
+        # the bundled normal sample needs 5 Newton steps
+        monkeypatch.setattr(cemfit.direct, "_NEWTON_MAX_STEPS", 3)
+
+    @pytest.mark.parametrize("family, capped", [(Family.LAPLACE, "capped_simplex"),
+                                                (Family.NORMAL, "capped_newton")], ids=str)
+    def test_raises_with_a_consistent_report(self, family, capped, request):
+        request.getfixturevalue(capped)
+        sample = BUNDLED[family]()
         with pytest.raises(NonConvergenceError) as info:
-            fit_direct(sample, direct_config(Family.NORMAL))
+            fit_direct(sample, direct_config(family))
         report = info.value.report
         assert not report.converged
         assert report.iterations == 3
         assert report.loglik == observed_loglik(sample, report.argmax)
+        assert report.gradient_norm == loglik_gradient_norm(sample, report.argmax)
 
-    def test_cli_says_so_and_exits_two(self, capsys):
-        assert main(["fit", "--family", "normal", "--algorithm", "direct",
-                     "--data", str(dataset_path("normal_type2"))]) == 2
+    @pytest.mark.parametrize("family, capped", [(Family.LAPLACE, "capped_simplex"),
+                                                (Family.NORMAL, "capped_newton")], ids=str)
+    def test_cli_says_so_and_exits_two(self, family, capped, request, capsys):
+        request.getfixturevalue(capped)
+        assert main(["fit", "--family", family.value, "--algorithm", "direct",
+                     "--data", str(dataset_path(f"{family.value}_type2"))]) == 2
         assert "converged: no" in capsys.readouterr().out
+
+
+def no_maximum_sample():
+    """One exact value with both bounds below it: the likelihood grows without
+    bound as the location sits on the exact value and the scale goes to 0."""
+    return CensoredSample([1.0, 0.5, 0.4], [1, 0, 0])
+
+
+class TestNoMaximum:
+    """A sample whose likelihood has no maximum raises NonConvergenceError
+    with the last finite iterate, instead of leaking a ParameterError."""
+
+    def test_newton_raises_with_the_last_finite_iterate(self):
+        sample = no_maximum_sample()
+        with pytest.raises(NonConvergenceError) as info:
+            fit_direct(sample, direct_config(Family.NORMAL))
+        report = info.value.report
+        assert not report.converged
+        mu, sigma = report.argmax.reported()
+        assert math.isfinite(mu) and 0.0 < sigma < 1e-6
+        assert math.isfinite(report.loglik)
+        assert report.loglik == observed_loglik(sample, report.argmax)
+        # the climb was real: far above the start's log-likelihood
+        start = default_start(sample, Family.NORMAL)
+        assert report.loglik > observed_loglik(sample, start) + 10.0
+
+    def test_cli_says_so_and_exits_two(self, tmp_path, capsys):
+        data = tmp_path / "nomax.csv"
+        write_censored_csv(data, no_maximum_sample())
+        assert main(["fit", "--family", "normal", "--algorithm", "direct",
+                     "--data", str(data)]) == 2
+        captured = capsys.readouterr()
+        assert "converged: no" in captured.out
+        assert captured.err == ""
 
 
 class TestScaleFreeConvergence:
@@ -516,9 +570,17 @@ class TestScaleFreeConvergence:
         w, delta = large
         report = fit_direct(CensoredSample(w, delta), direct_config(Family.NORMAL))
         assert report.converged
-        assert report.gradient_norm > 1e-5  # the absolute score norm grows with n
         scaled = fit_direct(CensoredSample(w * 1000.0, delta), direct_config(Family.NORMAL))
         assert scaled.converged
+
+    def test_criterion_is_the_mean_score_in_scale_units(self, large):
+        # 1e-7 sigma off the argmax the absolute score norm already exceeds
+        # 1e-5 at this n, while the mean score in scale units stays small
+        sample = CensoredSample(*large)
+        mu, sigma = fit_direct(sample, direct_config(Family.NORMAL)).argmax.reported()
+        norm = loglik_gradient_norm(sample, Normal.from_reported(mu + 1e-7 * sigma, sigma))
+        assert norm > 1e-5
+        assert norm * sigma / sample.n <= 1e-6
 
     def test_cli_exits_zero(self, large, tmp_path, capsys):
         data = tmp_path / "large.csv"
@@ -528,16 +590,171 @@ class TestScaleFreeConvergence:
         assert "converged: yes" in capsys.readouterr().out
 
 
+def central_difference_score(sample, params, rel=1e-6):
+    """Central differences of ``observed_loglik`` in the reported coordinates,
+    step ``rel`` times the scale."""
+    vec = list(params.reported())
+    h = rel * vec[-1]
+    make = type(params).from_reported
+    grads = []
+    for j in range(len(vec)):
+        hi, lo = list(vec), list(vec)
+        hi[j] += h
+        lo[j] -= h
+        grads.append((observed_loglik(sample, make(*hi))
+                      - observed_loglik(sample, make(*lo))) / (2.0 * h))
+    return grads
+
+
+def mixed_bound_sample(family, n=400, seed=11):
+    """Lifetimes of ``family`` at location 1, scale 2, each censored at its own
+    bound; bounds lie on both sides of the location."""
+    rng = np.random.default_rng(seed)
+    if family is Family.NORMAL:
+        x = rng.normal(1.0, 2.0, n)
+    elif family is Family.LAPLACE:
+        x = rng.laplace(1.0, 2.0, n)
+    else:
+        x = rng.rayleigh(2.0, n)
+    bound = np.abs(rng.normal(2.0, 3.0, n)) if family is Family.RAYLEIGH else rng.normal(2.0, 3.0, n)
+    return CensoredSample(np.minimum(x, bound), (x <= bound).astype(int))
+
+
+# (location shift, scale factor) in units of the MLE scale, away from the maximum
+OFF_MAXIMUM = [(0.37, 1.3), (-0.61, 0.8), (1.13, 2.1)]
+
+
+class TestAnalyticScore:
+    """``loglik_gradient_norm`` is the closed-form score; away from the
+    maximum (and from the Laplace kinks) it matches central differences of
+    the log-likelihood."""
+
+    @pytest.mark.parametrize("family", list(BUNDLED), ids=str)
+    @pytest.mark.parametrize("shift, factor", OFF_MAXIMUM, ids=str)
+    @pytest.mark.parametrize("which", ["bundled", "mixed"])
+    def test_matches_central_differences(self, family, shift, factor, which):
+        sample = BUNDLED[family]() if which == "bundled" else mixed_bound_sample(family)
+        *loc, scale = fit_direct(sample, direct_config(family)).argmax.reported()
+        params = type(default_start(sample, family)).from_reported(
+            *(v + shift * scale for v in loc), factor * scale)
+        if family is Family.LAPLACE:
+            # off the kinks: the midpoint between the data values around mu
+            w = np.unique(sample.w)
+            i = int(np.searchsorted(w, params.mu))
+            if 0 < i < w.size:
+                params = Laplace(0.5 * float(w[i - 1] + w[i]), params.sigma)
+            assert np.min(np.abs(sample.uncensored - params.mu)) > 1e-3 * params.sigma
+        want = central_difference_score(sample, params)
+        got = loglik_gradient_norm(sample, params)
+        assert got == pytest.approx(math.hypot(*want), rel=1e-6)
+        if family is not Family.LAPLACE:
+            parts = params.reported_score(sample.uncensored, sample.censor_times,
+                                          cemfit.direct._moments(sample))
+            for a, b in zip(parts, want, strict=True):
+                assert a == pytest.approx(b, rel=1e-6, abs=1e-6 * got)
+
+
+@st.composite
+def normal_censored_samples(draw):
+    """(sigma, sample): normal samples of n = 2..300 with at least two
+    distinct exact values (so a maximum exists), censored per unit, at one
+    common time, or Type-II, with bounds from 2 sd below the mean to 30 sd
+    above it.  The mean lies within 20 sd of 0, where EM's variance update
+    (a difference of second moments) keeps its rounding below 1e-11 sd."""
+    n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sigma = 10.0 ** rng.uniform(-2.0, 2.0)
+    mu = sigma * rng.uniform(-20.0, 20.0)
+    m = int(rng.integers(2, n + 1))
+    x = mu + sigma * rng.normal(size=m)
+    if x.min() == x.max():
+        x[0] += sigma
+    shape = draw(st.sampled_from(["per-unit", "single", "type2"]))
+    depth = draw(st.floats(-2.0, 30.0))
+    if shape == "per-unit":
+        z = rng.uniform(-2.0, depth, n - m) if depth > -2.0 else np.full(n - m, -2.0)
+    elif shape == "single":
+        z = np.full(n - m, depth)
+    else:
+        x = np.sort(x)
+        z = np.full(n - m, (x[-1] - mu) / sigma)
+    c = mu + sigma * z
+    return sigma, CensoredSample(np.concatenate([x, c]), np.r_[np.ones(m), np.zeros(n - m)])
+
+
+def newton_iterates(sample, start):
+    """A normal direct fit from ``start`` and every point a Newton direction
+    was taken at: the start and each point the line search accepted."""
+    seen = []
+    real = cemfit.direct._newton_direction
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cemfit.direct, "_newton_direction",
+                   lambda params, *a: seen.append(params) or real(params, *a))
+        report = fit_direct(sample, FitConfig(Family.NORMAL, Algorithm.DIRECT, start=start))
+    return report, seen
+
+
+class TestNewtonProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(case=normal_censored_samples(), shift=st.floats(-20.0, 20.0),
+           factor=st.floats(-3.0, 3.0))
+    def test_argmax_is_the_em_fixed_point_by_ascent(self, case, shift, factor):
+        # from the moment start moved by ``shift`` sd and its scale times 10**factor
+        scale, sample = case
+        mu, sigma = default_start(sample, Family.NORMAL).reported()
+        start = Normal.from_reported(mu + shift * sigma, sigma * 10.0 ** factor)
+        report, seen = newton_iterates(sample, start)
+        assert report.converged
+        # the line search accepts only steps that raise the log-likelihood
+        logliks = [observed_loglik(sample, p) for p in seen]
+        assert all(b > a for a, b in zip(logliks, logliks[1:]))
+        # the last, unsearched full step is far below rounding of the loglik
+        assert report.loglik >= logliks[-1] - 1e-14 * (1.0 + abs(logliks[-1]))
+        em = fit_em(sample, FitConfig(Family.NORMAL, Algorithm.EM,
+                                      tol=1e-11 * scale, max_iter=50_000))
+        assert em.converged
+        for got, want in zip(report.argmax.reported(), em.final.reported(), strict=True):
+            assert got == pytest.approx(want, rel=0, abs=1e-6 * em.final.sigma)
+
+    def test_an_overshooting_full_step_is_cut_back(self):
+        # 8 exact values under 96 bounds, started far from the maximum: a full
+        # Newton step from some iterate lowers the log-likelihood, and the
+        # line search must cut it back
+        rng = np.random.default_rng(127)
+        n = int(rng.integers(5, 200))
+        m = int(rng.integers(2, n + 1))
+        x, c = rng.normal(0.0, 1.0, m), rng.uniform(-2.0, 5.0, n - m)
+        sample = CensoredSample(np.r_[x, c], np.r_[np.ones(m), np.zeros(n - m)])
+        mu, sigma = default_start(sample, Family.NORMAL).reported()
+        start = Normal.from_reported(mu + rng.uniform(-20, 20) * sigma,
+                                     sigma * 10.0 ** rng.uniform(-3, 3))
+        report, seen = newton_iterates(sample, start)
+        assert report.converged
+        logliks = [observed_loglik(sample, p) for p in seen]
+        assert all(b > a for a, b in zip(logliks, logliks[1:]))
+        moments = cemfit.direct._moments(sample)
+        overshoots = 0
+        for params, value in zip(seen, logliks):
+            step, _ = cemfit.direct._newton_direction(params, sample.uncensored,
+                                                      sample.censor_times, moments)
+            full = Normal.from_concave(*(a + b for a, b in zip(params.to_concave(), step)))
+            overshoots += observed_loglik(sample, full) < value
+        assert overshoots >= 1
+
+
 class TestLazyOptimizeImport:
-    def test_scipy_optimize_loads_on_the_first_direct_fit(self):
+    def test_scipy_optimize_loads_on_the_first_laplace_fit(self):
         # a fresh interpreter: this test session has long imported scipy.optimize
         code = (
             "import sys, cemfit, cemfit.cli\n"
-            "from cemfit.datasets import example_rayleigh\n"
-            "before = 'scipy.optimize' in sys.modules\n"
-            "cemfit.fit_direct(example_rayleigh(),"
-            " cemfit.FitConfig(cemfit.Family.RAYLEIGH, cemfit.Algorithm.DIRECT))\n"
-            "print(before, 'scipy.optimize' in sys.modules)\n"
+            "from cemfit.datasets import example_laplace, example_normal, example_rayleigh\n"
+            "def fit(family, sample):\n"
+            "    cemfit.fit_direct(sample, cemfit.FitConfig(family, cemfit.Algorithm.DIRECT))\n"
+            "    return 'scipy.optimize' in sys.modules\n"
+            "print('scipy.optimize' in sys.modules,"
+            " fit(cemfit.Family.NORMAL, example_normal()),"
+            " fit(cemfit.Family.RAYLEIGH, example_rayleigh()),"
+            " fit(cemfit.Family.LAPLACE, example_laplace()))\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -545,4 +762,4 @@ class TestLazyOptimizeImport:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "True"]
+        assert proc.stdout.split() == ["False", "False", "False", "True"]
