@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import csv
 import math
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
-from .distributions import Family, ParamSet
+from .distributions import Family, ParamSet, exact_sum
 from .exceptions import DataError
 
 __all__ = [
@@ -100,6 +101,13 @@ class CensoredSample:
         """Original positions of the censored units (stable unit labels)."""
         return self._censored_indices
 
+    @cached_property
+    def sums(self) -> tuple[float, float, float]:
+        """Correctly rounded sums of the exact values, their squares and the
+        squared bounds, computed once: the data terms of scores and M-steps."""
+        y, c = self._uncensored, self._censor_times
+        return exact_sum(y), exact_sum(y * y), exact_sum(c * c)
+
     def __len__(self) -> int:
         return self.n
 
@@ -154,54 +162,15 @@ def observed_loglik(sample: CensoredSample, params: ParamSet) -> float:
     return exact_sum(np.concatenate(parts)) if parts else 0.0
 
 
-# exact_sum hands arrays shorter than this to math.fsum, which is then faster.
-_EXACT_MIN_TERMS = 1024
-# Exponent range of the extraction constant 2**e: 2**e stays finite, and
-# 2**-53 * 2**e, the grid the extracted parts lie on, stays a normal number.
-_SIGMA_EXP_MIN, _SIGMA_EXP_MAX = -969, 1023
-
-
-def exact_sum(a) -> float:
-    """``math.fsum(a.tolist())`` of a float array, in a few NumPy passes.
-
-    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
-    summation, part I", SIAM J. Sci. Comput. 31:189, 2008): with
-    sigma = 2**e >= 2**M * max|p| and 2**M > n + 1, q = (sigma + p) - sigma
-    lies on the grid 2**(e - 53) below sigma / 2**M in magnitude, so
-    ``np.sum(q)`` is exact in any order and p - q is exact.  Each round takes
-    53 - M bits off every term; zeros are dropped and the rounds repeat on
-    what is left.  ``math.fsum`` of the round totals and of the few terms
-    left is then the correctly rounded sum of ``a``.  Short arrays, any
-    non-finite term and sigma outside the normal range go to ``math.fsum``
-    directly, so every inf, nan, ``ValueError`` and ``OverflowError`` is
-    the one ``math.fsum`` gives.
-    """
-    p = np.asarray(a, dtype=float).ravel()
-    totals, work = [], np.empty(p.size)
-    while p.size >= _EXACT_MIN_TERMS:
-        # NumPy's max and min propagate nan, so a nan or an infinity fails the test
-        top = max(float(p.max()), -float(p.min()))
-        if not 0.0 < top < math.inf:
-            break
-        e = math.frexp(top)[1] + (p.size + 1).bit_length()
-        if not _SIGMA_EXP_MIN <= e <= _SIGMA_EXP_MAX:
-            break
-        sigma = math.ldexp(1.0, e)
-        q = work[:p.size]
-        np.subtract(np.add(p, sigma, out=q), sigma, out=q)
-        totals.append(float(np.sum(q)))
-        np.subtract(p, q, out=q)
-        p = q[q != 0.0]
-    return math.fsum(totals + p.tolist())
-
-
 def validate(sample: CensoredSample, family: Family | None = None) -> list[str]:
     """Return a list of human-readable invariant violations (empty if none).
 
     Checks: nonempty sample, finite values, indicators in {0, 1}, at least
     one exact observation (with none, the likelihood approaches its supremum
-    as the location grows and no maximizer exists), and positivity for the
-    Rayleigh family.
+    as the location grows and no maximizer exists), positivity for the
+    Rayleigh family, and for the normal and Laplace families two distinct
+    exact values or a bound above the one value (else the likelihood at that
+    value grows without bound as the scale goes to 0).
     """
     problems = []
     if sample.n == 0:
@@ -219,6 +188,13 @@ def validate(sample: CensoredSample, family: Family | None = None) -> list[str]:
     elif sample.m == 0 and not np.any(bad_delta):
         problems.append(
             "all observations are censored: likelihood unbounded; estimation refused"
+        )
+    elif (family in (Family.NORMAL, Family.LAPLACE) and sample.m > 0
+          and sample.uncensored.min() == sample.uncensored.max()
+          and not np.any(sample.censor_times > sample.uncensored[0])):
+        problems.append(
+            "all exact observations are equal and no bound lies above them: "
+            "likelihood unbounded; estimation refused"
         )
     if family is Family.RAYLEIGH and np.any(sample.w <= 0.0):
         rows = np.nonzero(sample.w <= 0.0)[0]

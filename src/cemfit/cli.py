@@ -52,7 +52,8 @@ def _build_parser() -> _Parser:
                      help="Monte Carlo replicates per censored unit (default 50000)")
     fit.add_argument("--max-iter", type=int, default=None,
                      help="iteration budget (default 500 for em, 15 for mcem)")
-    fit.add_argument("--tol", type=float, default=1e-8)
+    fit.add_argument("--tol", type=float, default=1e-8,
+                     help="em only: stop when no parameter moves more than this (default 1e-8)")
     fit.add_argument("--seed", type=int, default=DEFAULT_SEED)
     fit.add_argument("--trace", default=None, help="write the per-iteration trace CSV here")
 
@@ -115,8 +116,7 @@ def _cmd_fit(args) -> int:
     print(f"family: {family}  algorithm: {algorithm}  data: {args.data} "
           f"(n={sample.n}, m={sample.m})")
     if algorithm is Algorithm.MCEM:
-        print(f"k: {config.k}  max_iter: {config.resolved_max_iter()}  "
-              f"tol: {config.tol:g}  seed: {config.seed}")
+        print(f"k: {config.k}  max_iter: {config.resolved_max_iter()}  seed: {config.seed}")
     elif algorithm is Algorithm.EM:
         print(f"max_iter: {config.resolved_max_iter()}  tol: {config.tol:g}")
 

@@ -5,25 +5,25 @@ fixed points.  Every family's censored log-likelihood has a single maximum:
 it is concave in (mu/sigma, 1/sigma) for the log-concave normal and Laplace
 (Pratt, JASA 76:103, 1981) and in 1/beta**2 for the Rayleigh.
 
-The normal and Rayleigh fits run damped Newton in those concave coordinates
-from the start, with the closed-form score and Hessian each family class
-gives (``concave_derivatives``) and a backtracking (Armijo) line search on
-the observed log-likelihood.  Newton converges quadratically near the
+The Rayleigh maximum is closed-form (:func:`rayleigh_mle_closed_form`), so
+no search runs for it.  The normal fit runs damped Newton in its concave
+coordinates from the start, with the closed-form score and Hessian of
+``Normal.concave_derivatives`` and a backtracking (Armijo) line search on
+the observed log-likelihood; Newton converges quadratically near the
 maximum, so a fit takes a handful of steps.
 
 The Laplace likelihood has kinks at the exact values, so Newton does not
 apply: one derivative-free simplex search runs from the start over (mu,
 log sigma).  The simplex stops only approximately at a kink, and when the
 exact observations balance, an entire interval between two data values
-attains the maximum.  Bisection on the exact one-sided location slopes over
-the sorted exact values (O(log n) slope evaluations, no likelihood
-evaluation) puts the location on the maximizing kink, or on the midpoint of
-a flat top (the usual sample-median convention).  The same slopes give the
-Laplace location score: at a kink it is the minimum-norm subgradient
-element, 0 at a maximum, so ``converged`` holds there as at a smooth
-maximum.
+attains the maximum.  Bisection on the exact one-sided location slopes
+(``Laplace.location_slopes``) over the sorted exact values (O(log n) slope
+evaluations, no likelihood evaluation) puts the location on the maximizing
+kink, or on the midpoint of a flat top (the usual sample-median convention).
 
-The score behind ``converged`` is analytic for every family.
+The score behind ``converged`` is each family's analytic ``reported_score``;
+for the Laplace location it is the minimum-norm subgradient element, 0 at a
+kink that is a maximum.
 
 ``scipy.optimize`` is imported on the first Laplace direct fit, not with
 the package: only that route needs it, and it is the largest import of
@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .censoring import CensoredSample, ensure_fittable, exact_sum, observed_loglik
-from .distributions import Family, Laplace, ParamSet, Rayleigh
+from .censoring import CensoredSample, ensure_fittable, observed_loglik
+from .distributions import Family, Laplace, Normal, ParamSet, Rayleigh, exact_sum
 from .exceptions import NonConvergenceError, ParameterError
 from .fitting import Algorithm, FitConfig, default_start
 
@@ -74,67 +74,11 @@ def minimize_scalar(*args, **kwargs):
     return scipy_minimize_scalar(*args, **kwargs)
 
 
-def _laplace_slopes(x: np.ndarray, c: np.ndarray, mu: float, sigma: float) -> tuple[float, float]:
-    """Sigma times the left and right slopes of the Laplace log-likelihood in
-    the location at ``mu``, with exact values ``x`` and bounds ``c`` sorted.
-
-    An exact value counts +1 above ``mu``, -1 below it and +-1 at it (the
-    kink); a bound counts +1 at or above ``mu`` and e**z / (2 - e**z) below
-    it, z = (bound - mu) / sigma.  Each slope adds one integer to one
-    correctly rounded sum, so its sign is exact when no bound lies below.
-    """
-    lo, hi = np.searchsorted(x, mu, "left"), np.searchsorted(x, mu, "right")
-    below = int(np.searchsorted(c, mu, "left"))
-    e = np.exp((c[:below] - mu) / sigma)
-    smooth = exact_sum(e / (2.0 - e))
-    counts = int(x.size - hi - lo + c.size - below)
-    tied = int(hi - lo)
-    return (counts + tied) + smooth, (counts - tied) + smooth
-
-
-def _moments(sample: CensoredSample) -> tuple[float, float, float]:
-    """Correctly rounded sums of the exact values, their squares and the
-    squared bounds: the data terms of the normal and Rayleigh derivatives."""
-    y, c = sample.uncensored, sample.censor_times
-    return exact_sum(y), exact_sum(y * y), exact_sum(c * c)
-
-
-def _laplace_score(sample: CensoredSample, params: Laplace) -> tuple[float, float]:
-    """Laplace score in (mu, sigma).
-
-    The location component is the minimum-norm element of the exact
-    subgradient: 0 where the one-sided slopes bracket 0, else the slope
-    nearer 0.  The scale component is smooth:
-
-        sum over y of (|y - mu| / sigma**2 - 1 / sigma)
-        + sum over c >= mu of (c - mu) / sigma**2
-        + sum over c < mu of z e**z / (sigma (2 - e**z)),  z = (c - mu) / sigma,
-
-    added as (sum(|y - mu|) + sum(t) - m sigma) / sigma**2 with t the bound
-    terms times sigma**2.
-    """
-    mu, sigma = params.mu, params.sigma
-    x, c = np.sort(sample.uncensored), np.sort(sample.censor_times)
-    left, right = _laplace_slopes(x, c, mu, sigma)
-    e = np.exp(np.minimum(c - mu, 0.0) / sigma)
-    t = np.where(c >= mu, c - mu, (c - mu) * e / (2.0 - e))
-    spread = exact_sum(np.concatenate([np.abs(x - mu), t]))
-    return ((max(right, 0.0) + min(left, 0.0)) / sigma,
-            (spread - x.size * sigma) / (sigma * sigma))
-
-
 def loglik_gradient_norm(sample: CensoredSample, params: ParamSet) -> float:
     """Euclidean norm of the score at ``params``, in the reported coordinates
-    (location and scale, not variance), in closed form for every family.
-
-    The Laplace location component is the minimum-norm element of the exact
-    subgradient, since the likelihood has kinks at the exact values.
-    """
-    if isinstance(params, Laplace):
-        grads = _laplace_score(sample, params)
-    else:
-        grads = params.reported_score(sample.uncensored, sample.censor_times, _moments(sample))
-    return math.hypot(*grads)
+    (location and scale, not variance): the family's closed-form
+    ``reported_score``."""
+    return math.hypot(*params.reported_score(sample))
 
 
 def _canonicalize_laplace(sample: CensoredSample, best: Laplace) -> Laplace:
@@ -151,11 +95,11 @@ def _canonicalize_laplace(sample: CensoredSample, best: Laplace) -> Laplace:
     """
     x, c = np.sort(sample.uncensored), np.sort(sample.censor_times)
     at = bisect.bisect_left(
-        x, True, key=lambda v: _laplace_slopes(x, c, float(v), best.sigma)[1] <= 0.0)
+        x, True, key=lambda v: Laplace(float(v), best.sigma).location_slopes(x, c)[1] <= 0.0)
     loc = best.mu
     if at < x.size:
         kink = float(x[at])
-        left, right = _laplace_slopes(x, c, kink, best.sigma)
+        left, right = Laplace(kink, best.sigma).location_slopes(x, c)
         if right == 0.0 and not np.any(c <= kink):
             loc = 0.5 * (kink + float(sample.w[sample.w > kink].min()))
         elif left >= 0.0:
@@ -204,38 +148,33 @@ _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
 
 
-def _newton_direction(params, y, c, moments) -> tuple[tuple[float, ...] | None, float]:
+def _newton_direction(params: Normal,
+                      sample: CensoredSample) -> tuple[tuple[float, float] | None, float]:
     """The Newton step (-H)^-1 g in the concave coordinates at ``params`` and
     the Newton decrement g . step; ``(None, nan)`` where -H is not positive
     definite to working precision.  The derivative arrays live only in here,
     so none is held while the line search evaluates the likelihood."""
-    g, h = params.concave_derivatives(y, c, moments)
-    if len(g) == 1:
-        if not h[0][0] < 0.0:
-            return None, math.nan
-        step = (g[0] / -h[0][0],)
-    else:
-        (a, b), (_, d) = h
-        det = a * d - b * b
-        if not (a < 0.0 and det > 0.0):
-            return None, math.nan
-        step = ((b * g[1] - d * g[0]) / det, (b * g[0] - a * g[1]) / det)
+    g, ((a, b), (_, d)) = params.concave_derivatives(sample)
+    det = a * d - b * b
+    if not (a < 0.0 and det > 0.0):
+        return None, math.nan
+    step = ((b * g[1] - d * g[0]) / det, (b * g[0] - a * g[1]) / det)
     return step, math.fsum(gi * si for gi, si in zip(g, step))
 
 
-def _try_point(sample: CensoredSample, cls: type, point: tuple[float, ...]):
+def _try_point(sample: CensoredSample, point: tuple[float, float]):
     """Parameters at concave coordinates ``point`` and their log-likelihood;
     ``(None, -inf)`` if they are invalid, as the Armijo test then rejects
     them (it rejects a nan log-likelihood as well)."""
     try:
-        params = cls.from_concave(*point)
+        params = Normal.from_concave(*point)
         return params, observed_loglik(sample, params)
     except (ParameterError, OverflowError):
         return None, -math.inf
 
 
-def _fit_newton(sample: CensoredSample, start: ParamSet) -> tuple[ParamSet, int, bool]:
-    """Damped Newton in the family's concave coordinates from ``start``.
+def _fit_newton(sample: CensoredSample, start: Normal) -> tuple[Normal, int, bool]:
+    """Damped Newton in the normal family's concave coordinates from ``start``.
 
     Each step backtracks from the full Newton step by halving until the
     log-likelihood rises by at least ``_ARMIJO`` times the predicted rise.
@@ -247,21 +186,18 @@ def _fit_newton(sample: CensoredSample, start: ParamSet) -> tuple[ParamSet, int,
     ``_NEWTON_MAX_STEPS`` steps or where the Hessian turns singular, as on a
     sample whose likelihood has no maximum.
     """
-    y, c = sample.uncensored, sample.censor_times
-    moments = _moments(sample)
-    cls = type(start)
     params, point = start, start.to_concave()
     loglik = observed_loglik(sample, params)
     for steps in range(_NEWTON_MAX_STEPS):
-        step, decrement = _newton_direction(params, y, c, moments)
+        step, decrement = _newton_direction(params, sample)
         if step is None:
             return params, steps, False
         if decrement <= 1e-15 * (1.0 + abs(loglik)):
-            return cls.from_concave(*(p + s for p, s in zip(point, step))), steps + 1, True
+            return Normal.from_concave(*(p + s for p, s in zip(point, step))), steps + 1, True
         alpha = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = tuple(p + alpha * s for p, s in zip(point, step))
-            candidate, value = _try_point(sample, cls, trial)
+            candidate, value = _try_point(sample, trial)
             if value >= loglik + _ARMIJO * alpha * decrement:
                 params, point, loglik = candidate, trial, value
                 break
@@ -273,11 +209,12 @@ def _fit_newton(sample: CensoredSample, start: ParamSet) -> tuple[ParamSet, int,
 
 def fit_direct(sample: CensoredSample, config: FitConfig) -> OptimizerReport:
     """Maximize the censored-data log-likelihood from ``config.start``
-    (default: the family's moment start): damped Newton for the normal and
-    Rayleigh families, one simplex search plus the exact location for
-    Laplace; no other config field is consulted.  ``converged`` means the
-    search ended and the dimensionless mean score ``gradient_norm * scale /
-    n`` (scale: the last reported coordinate) is at most 1e-6.  Raises
+    (default: the family's moment start): damped Newton for the normal
+    family, one simplex search plus the exact location for Laplace; no other
+    config field is consulted.  The Rayleigh maximum is unique and closed-form,
+    so it ignores the start and reports 0 iterations.  ``converged`` means
+    the search ended and the dimensionless mean score ``gradient_norm * scale
+    / n`` (scale: the last reported coordinate) is at most 1e-6.  Raises
     :class:`NonConvergenceError` (with the report attached as ``.report``)
     if the search does not end: the simplex hits its iteration cap, or
     Newton its step cap or a singular Hessian.
@@ -285,18 +222,20 @@ def fit_direct(sample: CensoredSample, config: FitConfig) -> OptimizerReport:
     if config.algorithm is not Algorithm.DIRECT:
         raise ParameterError(f"fit_direct called with algorithm {config.algorithm}")
     family = config.family
-    ensure_fittable(sample, family)
-    start = config.start if config.start is not None else default_start(sample, family)
-    if family is Family.LAPLACE:
-        route, (argmax, iterations, ended) = "simplex", _fit_laplace(sample, start)
+    if family is Family.RAYLEIGH:
+        argmax, iterations, ended = rayleigh_mle_closed_form(sample), 0, True
     else:
-        route, (argmax, iterations, ended) = "Newton", _fit_newton(sample, start)
+        ensure_fittable(sample, family)
+        start = config.start if config.start is not None else default_start(sample, family)
+        search = _fit_laplace if family is Family.LAPLACE else _fit_newton
+        argmax, iterations, ended = search(sample, start)
     loglik = observed_loglik(sample, argmax)
     grad = loglik_gradient_norm(sample, argmax)
     # the score sums n terms in units of 1/scale, so this reads alike at any n or scale
     converged = ended and grad * argmax.reported()[-1] / sample.n <= 1e-6
     report = OptimizerReport(argmax, loglik, iterations, converged, grad)
     if not ended:
+        route = "simplex" if family is Family.LAPLACE else "Newton"
         err = NonConvergenceError(f"{route} search did not converge")
         err.report = report
         raise err

@@ -3,16 +3,18 @@
 Each family is a frozen dataclass that carries its natural parameters and
 exposes ``pdf``, ``cdf``, ``survival``, ``quantile`` plus the log-space
 variants the censored likelihood needs; ``from_reported`` inverts
-``reported()`` and ``moment_start`` is the family's default start.  The
-normal and Rayleigh classes also map to coordinates in which the censored
-log-likelihood is concave (``to_concave`` / ``from_concave``) and give its
-score and Hessian there in closed form (``concave_derivatives``), plus the
-score in the reported coordinates (``reported_score``).  Methods
-accept scalars or numpy arrays and stay accurate far into the tails: the
-normal cdf/survival go through the complementary error function, the
-quantile and log-survival are SciPy's ``ndtri`` and ``log_ndtr``, and the
-Mills ratio uses the scaled complementary error function so it never
-underflows.
+``reported()`` and ``moment_start`` is the family's default start.  Each
+class gives the score of the censored log-likelihood of a sample in its
+reported coordinates (``reported_score``); the normal class also maps to
+coordinates in which that log-likelihood is concave (``to_concave`` /
+``from_concave``) and gives its score and Hessian there in closed form
+(``concave_derivatives``), which the direct route's Newton search uses.
+``exact_sum`` is the correctly rounded sum the likelihood and the scores
+add their terms with.  Methods accept scalars or numpy arrays and stay
+accurate far into the tails: the normal cdf/survival go through the
+complementary error function, the quantile and log-survival are SciPy's
+``ndtri`` and ``log_ndtr``, and the Mills ratio uses the scaled
+complementary error function so it never underflows.
 """
 
 from __future__ import annotations
@@ -60,6 +62,47 @@ def _maybe_float(x):
     """Return a python float for 0-d results, the array otherwise."""
     x = np.asarray(x)
     return float(x) if x.ndim == 0 else x
+
+
+# exact_sum hands arrays shorter than this to math.fsum, which is then faster.
+_EXACT_MIN_TERMS = 1024
+# Exponent range of the extraction constant 2**e: 2**e stays finite, and
+# 2**-53 * 2**e, the grid the extracted parts lie on, stays a normal number.
+_SIGMA_EXP_MIN, _SIGMA_EXP_MAX = -969, 1023
+
+
+def exact_sum(a) -> float:
+    """``math.fsum(a.tolist())`` of a float array, in a few NumPy passes.
+
+    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
+    summation, part I", SIAM J. Sci. Comput. 31:189, 2008): with
+    sigma = 2**e >= 2**M * max|p| and 2**M > n + 1, q = (sigma + p) - sigma
+    lies on the grid 2**(e - 53) below sigma / 2**M in magnitude, so
+    ``np.sum(q)`` is exact in any order and p - q is exact.  Each round takes
+    53 - M bits off every term; zeros are dropped and the rounds repeat on
+    what is left.  ``math.fsum`` of the round totals and of the few terms
+    left is then the correctly rounded sum of ``a``.  Short arrays, any
+    non-finite term and sigma outside the normal range go to ``math.fsum``
+    directly, so every inf, nan, ``ValueError`` and ``OverflowError`` is
+    the one ``math.fsum`` gives.
+    """
+    p = np.asarray(a, dtype=float).ravel()
+    totals, work = [], np.empty(p.size)
+    while p.size >= _EXACT_MIN_TERMS:
+        # NumPy's max and min propagate nan, so a nan or an infinity fails the test
+        top = max(float(p.max()), -float(p.min()))
+        if not 0.0 < top < math.inf:
+            break
+        e = math.frexp(top)[1] + (p.size + 1).bit_length()
+        if not _SIGMA_EXP_MIN <= e <= _SIGMA_EXP_MAX:
+            break
+        sigma = math.ldexp(1.0, e)
+        q = work[:p.size]
+        np.subtract(np.add(p, sigma, out=q), sigma, out=q)
+        totals.append(float(np.sum(q)))
+        np.subtract(p, q, out=q)
+        p = q[q != 0.0]
+    return math.fsum(totals + p.tolist())
 
 
 def _open_unit(u) -> np.ndarray:
@@ -181,13 +224,13 @@ class Normal:
             raise ParameterError(f"tau = 1/sigma must be positive, got {tau}")
         return cls.from_reported(eta / tau, 1.0 / tau)
 
-    def concave_derivatives(self, y: np.ndarray, c: np.ndarray, moments):
-        """Score and Hessian of the censored log-likelihood in (eta, tau).
+    def concave_derivatives(self, sample):
+        """Score and Hessian of the censored log-likelihood of ``sample`` in
+        (eta, tau).
 
-        ``y`` holds the exact values, ``c`` the bounds and ``moments`` the
-        sums (of y, of y**2, of c**2).  With a = tau*c - eta, lam the Mills
-        ratio at a and k = lam*(lam - a) (minus the second derivative of
-        the log survival in a):
+        With y the exact values, c the bounds, m = y.size, a = tau*c - eta,
+        lam the Mills ratio at a and k = lam*(lam - a) (minus the second
+        derivative of the log survival in a):
 
             g_eta = tau*sum(y) - m*eta + sum(lam)
             g_tau = m/tau - (tau*sum(y**2) - eta*sum(y)) - sum(c*lam)
@@ -196,9 +239,10 @@ class Normal:
 
         Returns Python floats, ``((g_eta, g_tau), H)``.
         """
-        sy, syy = moments[0], moments[1]
+        sy, syy, _ = sample.sums
+        c = sample.censor_times
         eta, tau = self.to_concave()
-        m = y.size
+        m = sample.m
         a = tau * c - eta
         lam = np.atleast_1d(mills_ratio(a))
         # k = 1 - Var(Z | Z > a) lies in (0, 1); lam - a loses its digits for
@@ -213,9 +257,9 @@ class Normal:
              (cross, -m * self.sigma2 - syy - float(np.sum(kc * c))))
         return g, h
 
-    def reported_score(self, y: np.ndarray, c: np.ndarray, moments) -> tuple[float, float]:
+    def reported_score(self, sample) -> tuple[float, float]:
         """Score in (mu, sigma), from the one in (eta, tau)."""
-        (g_eta, g_tau), _ = self.concave_derivatives(y, c, moments)
+        (g_eta, g_tau), _ = self.concave_derivatives(sample)
         eta, tau = self.to_concave()
         return (g_eta / self.sigma, -(eta * g_eta + tau * g_tau) / self.sigma)
 
@@ -276,6 +320,49 @@ class Laplace:
     @classmethod
     def from_reported(cls, mu: float, sigma: float) -> "Laplace":
         return cls(mu, sigma)
+
+    def location_slopes(self, x: np.ndarray, c: np.ndarray) -> tuple[float, float]:
+        """Sigma times the left and right slopes of the censored log-likelihood
+        in the location at ``mu``, with exact values ``x`` and bounds ``c``
+        sorted.
+
+        An exact value counts +1 above ``mu``, -1 below it and +-1 at it (the
+        kink); a bound counts +1 at or above ``mu`` and e**z / (2 - e**z) below
+        it, z = (bound - mu) / sigma.  Each slope adds one integer to one
+        correctly rounded sum, so its sign is exact when no bound lies below.
+        """
+        mu = self.mu
+        lo, hi = np.searchsorted(x, mu, "left"), np.searchsorted(x, mu, "right")
+        below = int(np.searchsorted(c, mu, "left"))
+        e = np.exp((c[:below] - mu) / self.sigma)
+        smooth = exact_sum(e / (2.0 - e))
+        counts = int(x.size - hi - lo + c.size - below)
+        tied = int(hi - lo)
+        return (counts + tied) + smooth, (counts - tied) + smooth
+
+    def reported_score(self, sample) -> tuple[float, float]:
+        """Score of the censored log-likelihood of ``sample`` in (mu, sigma).
+
+        The location component is the minimum-norm element of the exact
+        subgradient, since the likelihood has kinks at the exact values: 0
+        where the one-sided slopes bracket 0, else the slope nearer 0.  The
+        scale component is smooth:
+
+            sum over y of (|y - mu| / sigma**2 - 1 / sigma)
+            + sum over c >= mu of (c - mu) / sigma**2
+            + sum over c < mu of z e**z / (sigma (2 - e**z)),  z = (c - mu) / sigma,
+
+        added as (sum(|y - mu|) + sum(t) - m sigma) / sigma**2 with t the bound
+        terms times sigma**2.
+        """
+        mu, sigma = self.mu, self.sigma
+        x, c = np.sort(sample.uncensored), np.sort(sample.censor_times)
+        left, right = self.location_slopes(x, c)
+        e = np.exp(np.minimum(c - mu, 0.0) / sigma)
+        t = np.where(c >= mu, c - mu, (c - mu) * e / (2.0 - e))
+        spread = exact_sum(np.concatenate([np.abs(x - mu), t]))
+        return ((max(right, 0.0) + min(left, 0.0)) / sigma,
+                (spread - x.size * sigma) / (sigma * sigma))
 
     @classmethod
     def moment_start(cls, y: np.ndarray) -> "Laplace":
@@ -345,29 +432,12 @@ class Rayleigh:
     def from_reported(cls, beta: float) -> "Rayleigh":
         return cls(beta)
 
-    def to_concave(self) -> tuple[float]:
-        """theta = 1 / beta**2: the censored log-likelihood
-        m*log(theta) - theta*sum(w**2)/2 + const is concave in it."""
-        return (1.0 / self.beta / self.beta,)
-
-    @classmethod
-    def from_concave(cls, theta: float) -> "Rayleigh":
-        if not theta > 0.0:
-            raise ParameterError(f"theta = 1/beta**2 must be positive, got {theta}")
-        return cls(1.0 / math.sqrt(theta))
-
-    def concave_derivatives(self, y: np.ndarray, c: np.ndarray, moments):
-        """Score m/theta - S/2 and Hessian -m/theta**2 in theta (computed as
-        m*beta**2 and -m*beta**4), with S the sum of squares of every unit
-        (``moments``: sums of y, y**2, c**2)."""
-        b2 = self.beta * self.beta
-        m, s = y.size, moments[1] + moments[2]
-        return (m * b2 - 0.5 * s,), ((-m * b2 * b2,),)
-
-    def reported_score(self, y: np.ndarray, c: np.ndarray, moments) -> tuple[float]:
-        """Score in beta: -2m/beta + S/beta**3."""
+    def reported_score(self, sample) -> tuple[float]:
+        """Score of the censored log-likelihood of ``sample`` in beta:
+        -2m/beta + S/beta**3, with S the sum of squares of every unit."""
         b = self.beta
-        return (-2.0 * y.size / b + (moments[1] + moments[2]) / b / b / b,)
+        _, syy, scc = sample.sums
+        return (-2.0 * sample.m / b + (syy + scc) / b / b / b,)
 
     @classmethod
     def moment_start(cls, y: np.ndarray) -> "Rayleigh":

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .censoring import CensoredSample, ensure_fittable, exact_sum, observed_loglik
-from .distributions import Family, Normal, mills_ratio
+from .censoring import CensoredSample, ensure_fittable, observed_loglik
+from .distributions import Family, Normal, exact_sum, mills_ratio
 from .exceptions import DegenerateDataError, ParameterError
 from .fitting import Algorithm, FitConfig, FitTrace, TraceRow, default_start
 
@@ -45,10 +45,8 @@ class NormalSuffStats:
 
 def e_step(sample: CensoredSample, params: Normal) -> NormalSuffStats:
     """Expected sufficient statistics given the sample and current parameters."""
-    y = sample.uncensored
     bounds = sample.censor_times
-    t1 = exact_sum(y)
-    t2 = exact_sum(y * y)
+    t1, t2, _ = sample.sums
     if bounds.size == 0:
         return NormalSuffStats(t1, t2, 0.0, 0.0)
     mu, sigma = params.mu, params.sigma

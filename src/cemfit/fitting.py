@@ -40,7 +40,8 @@ class FitConfig:
     ``max_iter=None`` resolves to the algorithm's own default: 500 for the
     closed-form EM iteration, 15 for Monte Carlo EM (whose default stopping
     rule is the iteration budget itself).  ``k``, the replicates per censored
-    unit in every iteration, only applies to Monte Carlo EM.
+    unit in every iteration, only applies to Monte Carlo EM; ``tol``, the
+    parameter change that ends a run, only to the closed-form EM iteration.
     """
 
     family: Family

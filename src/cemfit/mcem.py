@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .censoring import CensoredSample, ensure_fittable, exact_sum, observed_loglik
-from .distributions import Family, Laplace, Normal, Rayleigh
+from .censoring import CensoredSample, ensure_fittable, observed_loglik
+from .distributions import Family, Laplace, Normal, Rayleigh, exact_sum
 from .em import NormalSuffStats, m_step
 from .exceptions import DegenerateDataError, ParameterError
 from .fitting import Algorithm, FitConfig, FitTrace, TraceRow, default_start
@@ -112,7 +112,7 @@ class MonteCarloAccumulator:
     """Totals over the censored units' conditional draws.
 
     ``v1``/``v2`` are the grand totals of the draws and their squares: the
-    exactly rounded sums of each unit's row sums (``censoring.exact_sum``,
+    exactly rounded sums of each unit's row sums (``distributions.exact_sum``,
     equal to ``math.fsum``), so they do not depend on how the units were
     chunked.  ``blocks`` holds the (units × K) chunks of draws themselves
     only when asked to keep them (the Laplace median needs every draw);
@@ -170,11 +170,10 @@ def mcem_step_normal(sample: CensoredSample, params: Normal, k: int,
     ``stream`` must be scoped to the current iteration (fresh draws every
     sweep); unit substreams are derived from it.
     """
-    y = sample.uncensored
+    t1, t2, _ = sample.sums
     acc = MonteCarloAccumulator.from_blocks(
         _draw_blocks(sample, k, stream, sample_truncated_normal, params.mu, params.sigma))
-    return m_step(NormalSuffStats(exact_sum(y), exact_sum(y * y), acc.v1 / k, acc.v2 / k),
-                  sample.n)
+    return m_step(NormalSuffStats(t1, t2, acc.v1 / k, acc.v2 / k), sample.n)
 
 
 def mcem_step_laplace(sample: CensoredSample, params: Laplace, k: int,
@@ -199,10 +198,9 @@ def mcem_step_laplace(sample: CensoredSample, params: Laplace, k: int,
 def mcem_step_rayleigh(sample: CensoredSample, params: Rayleigh, k: int,
                        stream: RandomStream) -> Rayleigh:
     """One Monte Carlo EM sweep for the Rayleigh family."""
-    y = sample.uncensored
     acc = MonteCarloAccumulator.from_blocks(
         _draw_blocks(sample, k, stream, sample_truncated_rayleigh, params.beta))
-    b2 = (exact_sum(y * y) + acc.v2 / k) / (2.0 * sample.n)
+    b2 = (sample.sums[1] + acc.v2 / k) / (2.0 * sample.n)
     if not (b2 > 0.0):
         raise DegenerateDataError(f"update produced nonpositive squared scale {b2:.3e}")
     return Rayleigh(math.sqrt(b2))
@@ -218,11 +216,9 @@ _STEPS = {
 def fit_mcem(sample: CensoredSample, config: FitConfig) -> FitTrace:
     """Run Monte Carlo EM for ``config.max_iter`` sweeps (default 15).
 
-    The iteration budget is the designed stopping rule; as a convenience the
-    loop also stops early when the reported parameters move less than
-    ``config.tol`` on three consecutive sweeps, which with the default tol
-    effectively never triggers.  Runs with identical config and seed are
-    bit-identical.
+    The iteration budget is the stopping rule: every run takes all of its
+    sweeps, and ``config.tol`` is not consulted.  Runs with identical config
+    and seed are bit-identical.
     """
     if config.algorithm is not Algorithm.MCEM:
         raise ParameterError(f"fit_mcem called with algorithm {config.algorithm}")
@@ -231,15 +227,8 @@ def fit_mcem(sample: CensoredSample, config: FitConfig) -> FitTrace:
     params = config.start if config.start is not None else default_start(sample, config.family)
     root = RandomStream(config.seed)
     trace = FitTrace(rows=[TraceRow(0, params, observed_loglik(sample, params))])
-    max_iter = config.resolved_max_iter()
-    small_changes = 0
-    for s in range(1, max_iter + 1):
-        new = step(sample, params, config.k, root.substream(s))
-        trace.rows.append(TraceRow(s, new, observed_loglik(sample, new)))
-        delta = max(abs(a - b) for a, b in zip(new.reported(), params.reported()))
-        params = new
-        small_changes = small_changes + 1 if delta < config.tol else 0
-        if small_changes >= 3:
-            break
+    for s in range(1, config.resolved_max_iter() + 1):
+        params = step(sample, params, config.k, root.substream(s))
+        trace.rows.append(TraceRow(s, params, observed_loglik(sample, params)))
     trace.converged = True
     return trace

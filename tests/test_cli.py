@@ -54,14 +54,17 @@ class TestFitCommand:
 
     @pytest.mark.parametrize("family", ["normal", "laplace", "rayleigh"])
     def test_direct_iterations_label_names_no_route(self, capsys, family):
-        # normal and Rayleigh fit by Newton, Laplace by a simplex search
+        # normal fits by Newton, Laplace by a simplex search, Rayleigh in closed form
         code, out, _ = run(capsys, "fit", "--family", family, "--algorithm", "direct",
                            "--data", str(dataset_path(f"{family}_type2")))
         assert code == 0
         summary = [line for line in out.splitlines() if "converged:" in line]
         assert len(summary) == 1
         assert summary[0].startswith("iterations: ")
-        assert int(summary[0].split()[1]) >= 1
+        if family == "rayleigh":
+            assert int(summary[0].split()[1]) == 0
+        else:
+            assert int(summary[0].split()[1]) >= 1
         assert "simplex" not in out
 
     def test_mcem_fit_recovers_the_rayleigh_scale(self, capsys):

@@ -359,6 +359,17 @@ class TestRayleighDirect:
         for value in perturbed_logliks(sample, report.argmax).values():
             assert value < report.loglik
 
+    @pytest.mark.parametrize("e", range(-12, 21))
+    def test_any_start_gives_the_closed_form_bit_for_bit(self, e):
+        # the maximum is unique and closed-form, so the start cannot move it
+        sample = example_rayleigh()
+        closed = rayleigh_mle_closed_form(sample)
+        start = Rayleigh(closed.beta * 10.0 ** e)
+        report = fit_direct(sample, FitConfig(Family.RAYLEIGH, Algorithm.DIRECT, start=start))
+        assert report.converged
+        assert report.iterations == 0
+        assert report.argmax.beta == closed.beta
+
 
 class TestRayleighClosedForm:
     def test_reference_data_value(self):
@@ -527,31 +538,57 @@ def no_maximum_sample():
 
 
 class TestNoMaximum:
-    """A sample whose likelihood has no maximum raises NonConvergenceError
-    with the last finite iterate, instead of leaking a ParameterError."""
+    """A normal or Laplace sample whose likelihood has no maximum is refused
+    by every route, as an all-censored sample is."""
 
-    def test_newton_raises_with_the_last_finite_iterate(self):
-        sample = no_maximum_sample()
-        with pytest.raises(NonConvergenceError) as info:
-            fit_direct(sample, direct_config(Family.NORMAL))
-        report = info.value.report
-        assert not report.converged
-        mu, sigma = report.argmax.reported()
-        assert math.isfinite(mu) and 0.0 < sigma < 1e-6
-        assert math.isfinite(report.loglik)
-        assert report.loglik == observed_loglik(sample, report.argmax)
-        # the climb was real: far above the start's log-likelihood
-        start = default_start(sample, Family.NORMAL)
-        assert report.loglik > observed_loglik(sample, start) + 10.0
+    ROUTES = [(Family.NORMAL, Algorithm.EM), (Family.NORMAL, Algorithm.MCEM),
+              (Family.NORMAL, Algorithm.DIRECT), (Family.LAPLACE, Algorithm.MCEM),
+              (Family.LAPLACE, Algorithm.DIRECT)]
 
-    def test_cli_says_so_and_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("family, algorithm", ROUTES, ids=str)
+    def test_every_route_refuses(self, family, algorithm):
+        with pytest.raises(DataError, match="likelihood unbounded"):
+            cemfit.fit(no_maximum_sample(), FitConfig(family, algorithm, k=10))
+
+    @pytest.mark.parametrize("family, algorithm", ROUTES, ids=str)
+    def test_cli_refuses_and_exits_one(self, family, algorithm, tmp_path, capsys):
         data = tmp_path / "nomax.csv"
         write_censored_csv(data, no_maximum_sample())
-        assert main(["fit", "--family", "normal", "--algorithm", "direct",
-                     "--data", str(data)]) == 2
+        assert main(["fit", "--family", family.value, "--algorithm", algorithm.value,
+                     "--k", "10", "--data", str(data)]) == 1
         captured = capsys.readouterr()
-        assert "converged: no" in captured.out
-        assert captured.err == ""
+        assert "likelihood unbounded" in captured.err
+        assert "converged" not in captured.out
+
+    @pytest.mark.parametrize("w, delta", [
+        ([1.0, 0.5, 0.4, 1.5], [1, 0, 0, 0]),     # a bound above the exact value
+        ([1.0, 1.2, 0.5, 0.4], [1, 1, 0, 0]),     # two distinct exact values
+    ], ids=["bound-above", "two-values"])
+    @pytest.mark.parametrize("family", [Family.NORMAL, Family.LAPLACE], ids=str)
+    def test_a_sample_with_a_maximum_is_fitted(self, family, w, delta):
+        report = fit_direct(CensoredSample(w, delta), direct_config(family))
+        assert report.converged
+        assert report.argmax.reported()[-1] > 1e-3
+
+    def test_rayleigh_is_not_refused(self):
+        # the Rayleigh scale is closed-form and positive on any sample
+        report = fit_direct(no_maximum_sample(), direct_config(Family.RAYLEIGH))
+        assert report.converged
+        assert report.argmax == rayleigh_mle_closed_form(no_maximum_sample())
+
+    def test_newton_stops_at_a_singular_hessian(self):
+        # the search itself, under the refusal: it climbs toward scale 0 and
+        # reports that it did not end rather than leaking a ParameterError
+        sample = no_maximum_sample()
+        start = default_start(sample, Family.NORMAL)
+        params, _, ended = cemfit.direct._fit_newton(sample, start)
+        assert not ended
+        mu, sigma = params.reported()
+        assert math.isfinite(mu) and 0.0 < sigma < 1e-6
+        loglik = observed_loglik(sample, params)
+        assert math.isfinite(loglik)
+        # the climb was real: far above the start's log-likelihood
+        assert loglik > observed_loglik(sample, start) + 10.0
 
 
 class TestScaleFreeConvergence:
@@ -647,11 +684,8 @@ class TestAnalyticScore:
         want = central_difference_score(sample, params)
         got = loglik_gradient_norm(sample, params)
         assert got == pytest.approx(math.hypot(*want), rel=1e-6)
-        if family is not Family.LAPLACE:
-            parts = params.reported_score(sample.uncensored, sample.censor_times,
-                                          cemfit.direct._moments(sample))
-            for a, b in zip(parts, want, strict=True):
-                assert a == pytest.approx(b, rel=1e-6, abs=1e-6 * got)
+        for a, b in zip(params.reported_score(sample), want, strict=True):
+            assert a == pytest.approx(b, rel=1e-6, abs=1e-6 * got)
 
 
 @st.composite
@@ -732,11 +766,9 @@ class TestNewtonProperties:
         assert report.converged
         logliks = [observed_loglik(sample, p) for p in seen]
         assert all(b > a for a, b in zip(logliks, logliks[1:]))
-        moments = cemfit.direct._moments(sample)
         overshoots = 0
         for params, value in zip(seen, logliks):
-            step, _ = cemfit.direct._newton_direction(params, sample.uncensored,
-                                                      sample.censor_times, moments)
+            step, _ = cemfit.direct._newton_direction(params, sample)
             full = Normal.from_concave(*(a + b for a, b in zip(params.to_concave(), step)))
             overshoots += observed_loglik(sample, full) < value
         assert overshoots >= 1

@@ -1,4 +1,4 @@
-"""``censoring.exact_sum`` returns ``math.fsum(a.tolist())`` bit for bit."""
+"""``distributions.exact_sum`` returns ``math.fsum(a.tolist())`` bit for bit."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cemfit.censoring import _EXACT_MIN_TERMS, exact_sum
+from cemfit.distributions import _EXACT_MIN_TERMS, exact_sum
 
 TINY = 5e-324            # smallest subnormal
 

@@ -219,16 +219,21 @@ class TestFitMcem:
         betas = [row.params.beta for row in trace.rows[1:]]
         assert len(set(betas)) == len(betas)  # reused draws would repeat a value
 
-    def test_early_stop_on_three_small_changes(self):
+    def test_complete_data_runs_its_budget_at_the_mle(self):
         rng = np.random.default_rng(12)
         w = rng.normal(0, 1, size=20)
         s = CensoredSample(w, np.ones(20, dtype=int))
         cfg = FitConfig(Family.NORMAL, Algorithm.MCEM, k=10, max_iter=15, seed=0)
         trace = fit_mcem(s, cfg)
-        # complete data: every sweep repeats the MLE, so the stop rule fires
-        # after the third consecutive small change
+        # complete data: every sweep repeats the MLE, and the budget is the
+        # only stopping rule, so all 15 sweeps run
         assert trace.converged
-        assert trace.iterations == 3
+        assert trace.iterations == 15
+        mean = math.fsum(w) / 20
+        mle = Normal(mean, math.fsum(w * w) / 20 - mean * mean)
+        assert trace.rows[0].params.mu == pytest.approx(mle.mu, rel=1e-15, abs=1e-15)
+        assert trace.rows[0].params.sigma2 == pytest.approx(mle.sigma2, rel=1e-15)
+        assert all(row.params == mle for row in trace.rows[1:])
 
     def test_rejects_mismatched_config(self):
         with pytest.raises(ParameterError):
