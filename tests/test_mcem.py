@@ -283,6 +283,11 @@ GOLDEN_TRACES = {
     ("rayleigh", "bundled", 2000, 5): "c63dc7cace0a0784a2bcc36759c8d2427fc846e332e8dc556e9ccccb6483f9c7",
     ("normal", "random", 37, 11): "5abb513c91b8b246f635742006dd25cf46469445617ce707b4bc413047de3cb6",
     ("laplace", "random", 37, 11): "458df540fde8765056840ea8e3b6583db9757af8fce1ebc6b73ca38ba7274d1b",
+    # K > CHUNK_DRAWS: one unit per sampler call
+    ("normal", "bundled", 20000, 0): "24f250fbd891b86e8990a57448dcebb1b6a55f672bf92a1b3ca533585c02eb36",
+    ("laplace", "bundled", 20000, 0): "4c35bef51a3e37cd2ffb7ae4613fdefbefd5036e7798b33ef05f96205b9659ca",
+    ("rayleigh", "bundled", 20000, 0): "7d293081d2fe7ec4686df844e3a3bcc01c6aad0daada014b4a16c91b900330a2",
+    ("laplace", "random", 9000, 11): "f436bca1abaf38f13ecd3f18f7975148d467ecc26c3fdd2c360282fc6304b941",
 }
 BUNDLED = {"normal": example_normal, "laplace": example_laplace, "rayleigh": example_rayleigh}
 
