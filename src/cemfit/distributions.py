@@ -106,9 +106,12 @@ def exact_sum(a) -> float:
 
 
 def _open_unit(u) -> np.ndarray:
-    """``u`` as a float array, rejected unless every value lies strictly inside (0, 1)."""
+    """``u`` as a float array, rejected unless every value lies strictly inside (0, 1).
+
+    NaN is rejected too: it makes ``min`` / ``max`` NaN, which fails both tests.
+    """
     u = np.asarray(u, dtype=float)
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
+    if u.size and not (u.min() > 0.0 and u.max() < 1.0):
         raise ParameterError("u must lie strictly inside (0, 1)")
     return u
 

@@ -57,10 +57,11 @@ def weighted_median(values, weights, singles=()) -> float:
 
     For an even total count the median is the average of the two middle
     order statistics.  The multiset is never materialized: the values of
-    weight above one are sorted, one ``searchsorted`` plus ``bincount``
-    counts the weight-one values falling into each gap between them, and a
-    target rank then lands either on a sorted value or inside one gap, whose
-    values alone are partitioned.
+    weight above one are sorted, one comparison counts the weight-one values
+    above the largest of them, ``searchsorted`` plus ``bincount`` counts the
+    rest falling into each gap between them, and a target rank then lands
+    either on a sorted value or inside one gap, whose values alone are
+    partitioned.
     """
     v = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=np.int64)
@@ -72,9 +73,19 @@ def weighted_median(values, weights, singles=()) -> float:
     order = np.argsort(v[heavy])
     h, hw = v[heavy][order], w[heavy][order]
     light = [v[w == 1]] + [np.asarray(a, dtype=float).ravel() for a in singles]
-    # gap g holds the light values in (h[g-1], h[g]], as searchsorted places them
+    # gap g holds the light values in (h[g-1], h[g]], as searchsorted places them;
+    # the values above h[-1] (the last gap) are counted by one comparison, and
+    # only the rest are searched
     counts = np.zeros(h.size + 1, dtype=np.int64)
     for part in light:
+        if h.size:
+            above = part > h[-1]
+            n_above = np.count_nonzero(above)
+            counts[-1] += n_above
+            if n_above == part.size:
+                continue
+            if n_above:
+                part = part[~above]
         counts += np.bincount(np.searchsorted(h, part), minlength=h.size + 1)
     # cumulative counts over the segments gap 0, h[0], gap 1, h[1], ..., gap h.size
     ends = np.cumsum(np.stack([counts, np.append(hw, 0)], axis=1).ravel()[:-1])
@@ -136,7 +147,11 @@ class MonteCarloAccumulator:
 
     def abs_deviation(self, center: float) -> float:
         """Sum of |draw - center| over every kept draw."""
-        return _fsum_rows([np.abs(b - center).sum(axis=1) for b in self.blocks])
+        sums = []
+        for b in self.blocks:
+            d = b - center
+            sums.append(np.abs(d, out=d).sum(axis=1))
+        return _fsum_rows(sums)
 
 
 # Draws per sampler call: a chunk covers max(1, CHUNK_DRAWS // K) censored

@@ -16,6 +16,11 @@ import numpy as np
 __all__ = ["RandomStream"]
 
 _MASK64 = (1 << 64) - 1
+# RandomStream.uniforms' constants, made once: building NumPy scalars on every call
+# would cost more than converting a row of a few words
+_SHIFT = np.uint64(12)
+_ONE_BITS = np.uint64(0x3FF0000000000000)
+_ONE_MINUS_HALF_GRAIN = 1.0 - 2.0**-53
 
 
 def _splitmix64(x: int) -> int:
@@ -73,6 +78,7 @@ class RandomStream:
         self.path = _path
         key = np.array(_derive_key(self.seed, _path), dtype=np.uint64)
         self._bitgen = np.random.Philox(key=key)
+        self._rows: RandomStream | None = None  # unit_uniforms' row generator
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, path={self.path})"
@@ -93,36 +99,52 @@ class RandomStream:
         """
         if n < 0:
             raise ValueError("n must be nonnegative")
+        # in place: the top 52 bits m become the mantissa of 1 + m * 2**-52, and
+        # subtracting 1 - 2**-53 leaves exactly (m + 0.5) * 2**-52 (Sterbenz)
         raw = self._bitgen.random_raw(n)
-        return ((raw >> np.uint64(12)) + 0.5) * 2.0**-52
+        raw >>= _SHIFT
+        raw |= _ONE_BITS
+        u = raw.view(np.float64)
+        u -= _ONE_MINUS_HALF_GRAIN
+        return u
 
     def unit_uniforms(self, units, k: int) -> np.ndarray:
         """A (len(units), k) block whose row r is ``self.substream(units[r]).uniforms(k)``.
 
-        The unit keys are derived in one pass over a uint64 array, and a
-        single Philox generator, owned by this call, is re-keyed for each row
-        instead of being constructed per unit.
+        The keys of several units are derived in one pass over a uint64 array,
+        and one row generator, made on the first call and kept by this stream,
+        is re-keyed for each row instead of a Philox being constructed per
+        unit.  This stream's own position is not touched.
         """
         if not (isinstance(units, np.ndarray) and units.dtype.kind in "iu"):
             # reduce each index as substream does; NumPy would turn ints beyond int64 into floats
             units = np.array([operator.index(c) & _MASK64 for c in units], dtype=np.uint64)
         if units.ndim != 1:
             raise TypeError("units must be one-dimensional")
-        keys = _derive_keys(self.seed, self.path, units.astype(np.uint64))
-        row = RandomStream(self.seed, self.path)
+        if self._rows is None:
+            self._rows = RandomStream(self.seed, self.path)
+        row = self._rows
         zeros = np.zeros(4, np.uint64)
-        rows = []
-        for key in keys:
+
+        def rekey(key):
             # the state of a freshly keyed Philox: counter 0, empty buffer
             row._bitgen.state = {
                 "bit_generator": "Philox",
                 "state": {"counter": zeros, "key": key},
                 "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
             }
-            rows.append(row.uniforms(k))
-        if len(rows) == 1:
-            return rows[0].reshape(1, k)
-        return np.stack(rows) if rows else np.empty((0, k))
+
+        if units.size == 1:
+            # one unit per chunk (large K): Python ints beat a dozen NumPy calls on
+            # one element, and the row is handed out without a copy
+            rekey(_derive_key(self.seed, self.path + (int(units[0]),)))
+            return row.uniforms(k).reshape(1, k)
+        keys = _derive_keys(self.seed, self.path, units.astype(np.uint64))
+        block = np.empty((units.size, k))
+        for r, key in enumerate(keys):
+            rekey(key)
+            block[r] = row.uniforms(k)
+        return block
 
     def next_uniform(self) -> float:
         """Single uniform draw from this stream, strictly inside (0, 1)."""

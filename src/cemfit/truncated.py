@@ -61,8 +61,12 @@ def _by_rows(take, first, second):
 
 def _strictly_above(x, lower, shape):
     """Guard against a rounded-down draw landing exactly on its row's bound,
-    and give the draws back in ``shape`` (a float for a scalar call)."""
-    return _maybe_float(np.maximum(x, np.nextafter(lower, np.inf)).reshape(shape))
+    and give the draws back in ``shape`` (a float for a scalar call).
+
+    ``x`` is the sampler's own fresh array of draws and is raised in place.
+    """
+    np.maximum(x, np.nextafter(lower, np.inf), out=x)
+    return _maybe_float(x.reshape(shape))
 
 
 def sample_truncated_normal(mu: float, sigma: float, lower, u):
@@ -110,7 +114,9 @@ def sample_truncated_laplace(mu: float, sigma: float, lower, u):
     lower, u, shape = _as_rows(lower, u)
 
     def upper(rows):
-        return lower[rows] - sigma * np.log(u[rows])
+        x = np.log(u[rows])
+        x *= sigma
+        return np.subtract(lower[rows], x, out=x)
 
     def interior(rows):
         uu = u[rows]
@@ -139,5 +145,7 @@ def sample_truncated_rayleigh(beta: float, lower, u):
     if bad.size:
         raise ParameterError(f"truncation point must be finite and nonnegative, got {bad[0]}")
     lower, u, shape = _as_rows(lower, u)
-    x = np.sqrt(lower * lower - 2.0 * beta * beta * np.log(u))
-    return _strictly_above(x, lower, shape)
+    x = np.log(u)
+    x *= 2.0 * beta * beta
+    np.subtract(lower * lower, x, out=x)
+    return _strictly_above(np.sqrt(x, out=x), lower, shape)

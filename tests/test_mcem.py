@@ -43,6 +43,19 @@ def replicate_draws(sample, params, k, stream, sampler):
     return blocks
 
 
+class TestAccumulator:
+    def test_abs_deviation_is_exact_and_leaves_the_draws_alone(self):
+        rng = np.random.default_rng(3)
+        blocks = [rng.normal(0.0, 1.0, (4, 9)), rng.normal(2.0, 3.0, (1, 9))]
+        kept = [b.copy() for b in blocks]
+        acc = mcem.MonteCarloAccumulator.from_blocks(blocks, keep=True)
+        got = acc.abs_deviation(0.25)
+        # the exactly rounded total of the per-unit row sums
+        assert got == math.fsum(np.abs(np.concatenate(kept) - 0.25).sum(axis=1))
+        for b, k in zip(blocks, kept):
+            np.testing.assert_array_equal(b, k)
+
+
 class TestWeightedMedian:
     def test_matches_brute_force_on_random_multisets(self):
         rng = np.random.default_rng(99)
@@ -80,6 +93,27 @@ class TestWeightedMedian:
     def test_single_point_masses(self):
         assert weighted_median([4.5], [7]) == 4.5
         assert weighted_median([4.5, 8.0], [7, 0]) == 4.5
+
+    @pytest.mark.parametrize("where", ["above", "some-equal", "below", "no-heavy"])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["even", "odd"])
+    def test_light_values_against_the_largest_heavy_value(self, where, extra):
+        # the weight-one values above the largest heavy value are counted by one
+        # comparison; values equal to it belong to the gap before it
+        rng = np.random.default_rng(5)
+        values = np.array([-1.0, 0.5, 2.0])
+        weights = np.array([4, 2, 4]) if where != "no-heavy" else np.array([1, 0, 1])
+        draws = {"above": 2.0 + rng.random((3, 7)),
+                 "some-equal": np.r_[np.full(5, 2.0), 2.0 + rng.random(16)].reshape(3, 7),
+                 "below": 2.0 - 4.0 * rng.random((3, 7)),
+                 "no-heavy": rng.normal(0.0, 2.0, (3, 7))}[where]
+        singles = [draws[:2], draws[2:, :4 + extra]]
+        multiset = np.concatenate([np.repeat(values, weights)] + [p.ravel() for p in singles])
+        assert multiset.size % 2 == extra
+        assert weighted_median(values, weights, singles) == float(np.median(multiset))
+        # with the same draws as weight-one values
+        light = np.concatenate([values, draws.ravel()])
+        w = np.concatenate([weights, np.ones(draws.size, np.int64)])
+        assert weighted_median(light, w) == float(np.median(np.repeat(light, w)))
 
     def test_domain_errors(self):
         with pytest.raises(ParameterError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from cemfit.streams import RandomStream
+from cemfit.streams import RandomStream, _derive_key
 
 
 class TestDeterminism:
@@ -86,6 +86,34 @@ class TestRangeContracts:
         assert u.shape == (10,)
 
 
+class TestWordMapping:
+    """``uniforms`` converts the Philox words in place; the values must equal
+    the reference mapping ((w >> 12) + 0.5) * 2**-52 bit for bit."""
+
+    @pytest.mark.parametrize("seed, path, n", [(0, (), 1), (123, (4, 7), 1000),
+                                               (2**63 + 9, (1, 2**40), 50_000)])
+    def test_equals_the_reference_mapping_bit_for_bit(self, seed, path, n):
+        stream = RandomStream(seed).substream(*path) if path else RandomStream(seed)
+        words = np.random.Philox(key=np.array(_derive_key(seed, path), np.uint64)).random_raw(n)
+        expected = ((words >> np.uint64(12)) + 0.5) * 2.0**-52
+        assert_array_equal(stream.uniforms(n).view(np.uint64), expected.view(np.uint64))
+
+    def test_extreme_words_map_to_the_grain_endpoints(self):
+        class Words:
+            def random_raw(self, n):
+                return np.array([0, 2**64 - 1, 2**12 - 1, 2**12, 2**63], np.uint64)[:n]
+
+        stream = RandomStream(1)
+        stream._bitgen = Words()
+        u = stream.uniforms(5)
+        assert u.dtype == np.float64
+        assert u.tolist() == [2.0**-53, 1.0 - 2.0**-53, 2.0**-53, 3 * 2.0**-53, 0.5 + 2.0**-53]
+
+    def test_empty_draw(self):
+        u = RandomStream(3).uniforms(0)
+        assert u.shape == (0,) and u.dtype == np.float64
+
+
 class TestUnitBlocks:
     UNITS = [0, 1, 2**32, 2**63 + 5]
 
@@ -110,6 +138,19 @@ class TestUnitBlocks:
         stream = RandomStream(4)
         stream.unit_uniforms([1, 2], 8)
         assert_array_equal(stream.uniforms(8), RandomStream(4).uniforms(8))
+
+    def test_row_generator_is_reused_without_carrying_state(self):
+        # one row generator serves every call on a stream; a block or row handed
+        # out earlier must not change when later calls draw into it
+        stream = RandomStream(6).substream(2)
+        one = stream.unit_uniforms([3], 9000)
+        kept = one.copy()
+        block = stream.unit_uniforms([4, 3], 5)
+        again = stream.unit_uniforms(np.array([3]), 9000)
+        assert_array_equal(one, kept)
+        assert_array_equal(again, kept)
+        assert_array_equal(block[1], stream.substream(3).uniforms(5))
+        assert_array_equal(block[0], stream.substream(4).uniforms(5))
 
     def test_rejects_non_integer_units(self):
         with pytest.raises(TypeError):

@@ -270,3 +270,54 @@ class TestColumnBounds:
             sample_truncated_normal(0.0, 1.0, np.array([[0.0], [1.0]]), self.U[:3])
         with pytest.raises(ParameterError):
             sample_truncated_laplace(0.0, 1.0, np.array([0.0, 1.0]), self.U[:2])
+
+
+SAMPLER_BRANCHES = [
+    # (sampler, params, bounds): every bound on one branch of the sampler
+    (sample_truncated_normal, (0.0, 1.0), [0.0, 2.5, 1.0]),
+    (sample_truncated_normal, (0.0, 1.0), [-5.0, -0.1, -1.0]),
+    (sample_truncated_laplace, (0.0, 1.0), [0.0, 3.0, 9.0]),
+    (sample_truncated_laplace, (0.0, 1.0), [-5.0, -0.1, -1.0]),
+    (sample_truncated_rayleigh, (1.0,), [0.0, 2.5, 6.0]),
+]
+BRANCH_IDS = ["normal-upper", "normal-interior", "laplace-upper", "laplace-interior", "rayleigh"]
+
+
+class TestUniformsArgument:
+    """The samplers work in place on arrays they allocate; the caller's ``u``
+    is never written, and NaN uniforms are refused like any value outside (0, 1)."""
+
+    U = RandomStream(33).uniforms(3 * 40).reshape(3, 40)
+
+    @pytest.mark.parametrize("sampler, params, bounds", SAMPLER_BRANCHES, ids=BRANCH_IDS)
+    def test_u_is_not_modified(self, sampler, params, bounds):
+        u = self.U.copy()
+        sampler(*params, np.array(bounds)[:, None], u)
+        np.testing.assert_array_equal(u, self.U)
+        row = u[1].copy()
+        sampler(*params, bounds[1], row)
+        np.testing.assert_array_equal(row, self.U[1])
+        whole = u.copy()
+        sampler(*params, bounds[0], whole)  # a scalar bound takes the whole block as one row
+        np.testing.assert_array_equal(whole, self.U)
+
+    @pytest.mark.parametrize("sampler, params, bounds", SAMPLER_BRANCHES, ids=BRANCH_IDS)
+    def test_nan_inside_a_row_block_is_refused(self, sampler, params, bounds):
+        u = self.U.copy()
+        u[1, 17] = np.nan
+        with pytest.raises(ParameterError):
+            sampler(*params, np.array(bounds)[:, None], u)
+        with pytest.raises(ParameterError):
+            sampler(*params, bounds[1], u[1])
+        with pytest.raises(ParameterError):
+            sampler(*params, bounds[1], np.nan)
+
+    def test_in_place_branches_keep_the_reference_arithmetic(self):
+        # the out-of-place formulas these branches were written as, bit for bit
+        u, bounds = self.U, np.array([[0.0], [2.5], [6.0]])
+        above = np.nextafter(bounds, np.inf)
+        rayleigh = np.maximum(np.sqrt(bounds * bounds - 2.0 * 1.3 * 1.3 * np.log(u)), above)
+        laplace = np.maximum(bounds - 0.7 * np.log(u), above)
+        for got, expected in [(sample_truncated_rayleigh(1.3, bounds, u), rayleigh),
+                              (sample_truncated_laplace(-0.2, 0.7, bounds, u), laplace)]:
+            np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
