@@ -5,8 +5,14 @@ Supports the normal, Laplace, and Rayleigh families with three routes:
 * ``fit_em``     closed-form EM iteration (normal family only),
 * ``fit_mcem``   Monte Carlo EM with reproducible truncated draws,
 * ``fit_direct`` direct maximization of the censored likelihood (Newton
-  for normal and Rayleigh, a simplex search for Laplace), used as an
-  independent cross-check of the EM fixed points.
+  for normal, a closed form for Rayleigh, a simplex search plus the exact
+  location and scale for Laplace), used as an independent cross-check of
+  the EM fixed points.
+
+``fit`` dispatches on the configured route.  The package namespace holds
+what a user calls: the fits, sample I/O, the families, the configuration
+and trace types, and the exceptions.  The EM and MCEM steps, the truncated
+samplers and the random streams stay importable from their modules.
 """
 
 from .censoring import (
@@ -18,14 +24,9 @@ from .censoring import (
     validate,
     write_censored_csv,
 )
-from .direct import (
-    OptimizerReport,
-    fit_direct,
-    loglik_gradient_norm,
-    rayleigh_mle_closed_form,
-)
+from .direct import OptimizerReport, fit_direct
 from .distributions import Family, Laplace, Normal, Rayleigh, make_params
-from .em import NormalSuffStats, e_step, fit_em, m_step
+from .em import fit_em
 from .exceptions import (
     DataError,
     DegenerateDataError,
@@ -34,29 +35,8 @@ from .exceptions import (
     ParameterError,
     TailUnderflowError,
 )
-from .fitting import (
-    DEFAULT_SEED,
-    Algorithm,
-    FitConfig,
-    FitTrace,
-    TraceRow,
-    default_start,
-    read_trace_csv,
-)
-from .mcem import (
-    MonteCarloAccumulator,
-    fit_mcem,
-    mcem_step_laplace,
-    mcem_step_normal,
-    mcem_step_rayleigh,
-    weighted_median,
-)
-from .streams import RandomStream
-from .truncated import (
-    sample_truncated_laplace,
-    sample_truncated_normal,
-    sample_truncated_rayleigh,
-)
+from .fitting import DEFAULT_SEED, Algorithm, FitConfig, FitTrace, TraceRow, read_trace_csv
+from .mcem import fit_mcem
 
 __version__ = "0.1.0"
 
@@ -84,39 +64,24 @@ __all__ = [
     "FitConfig",
     "FitTrace",
     "Laplace",
-    "MonteCarloAccumulator",
     "NonConvergenceError",
     "Normal",
-    "NormalSuffStats",
     "NumericRangeError",
     "OptimizerReport",
     "ParameterError",
-    "RandomStream",
     "Rayleigh",
     "TailUnderflowError",
     "TraceRow",
-    "default_start",
-    "e_step",
     "ensure_fittable",
     "fit",
     "fit_direct",
     "fit_em",
     "fit_mcem",
     "from_type2",
-    "loglik_gradient_norm",
-    "m_step",
     "make_params",
-    "mcem_step_laplace",
-    "mcem_step_normal",
-    "mcem_step_rayleigh",
     "observed_loglik",
     "read_censored_csv",
     "read_trace_csv",
-    "rayleigh_mle_closed_form",
-    "sample_truncated_laplace",
-    "sample_truncated_normal",
-    "sample_truncated_rayleigh",
     "validate",
-    "weighted_median",
     "write_censored_csv",
 ]

@@ -7,6 +7,7 @@ Exit codes: 0 on success/convergence, 2 when a fit fails to converge,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -182,6 +183,8 @@ def _cmd_simulate(args) -> int:
         sample = from_type2(observed, args.n)
     else:
         cutoff = args.censor_time
+        if math.isnan(cutoff):
+            raise ParameterError("--censor-time must be a number or inf, got nan")
         w = [min(float(x), cutoff) for x in draws]
         delta = [1 if float(x) <= cutoff else 0 for x in draws]
         sample = CensoredSample(w, delta)

@@ -19,15 +19,14 @@ exact observations balance, an entire interval between two data values
 attains the maximum.  Bisection on the exact one-sided location slopes
 (``Laplace.location_slopes``) over the sorted exact values (O(log n) slope
 evaluations, no likelihood evaluation) puts the location on the maximizing
-kink, or on the midpoint of a flat top (the usual sample-median convention).
+kink or mid flat top; ``Laplace.profile_scale`` gives the exact scale there.
 
 The score behind ``converged`` is each family's analytic ``reported_score``;
 for the Laplace location it is the minimum-norm subgradient element, 0 at a
 kink that is a maximum.
 
-``scipy.optimize`` is imported on the first Laplace direct fit, not with
-the package: only that route needs it, and it is the largest import of
-``cemfit``.  ``minimize`` and ``minimize_scalar`` here forward to SciPy's.
+``minimize`` forwards to SciPy's, imported on the first Laplace direct fit
+only: no other route needs ``scipy.optimize``, the largest import of cemfit.
 """
 
 from __future__ import annotations
@@ -68,12 +67,6 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-def minimize_scalar(*args, **kwargs):
-    """``scipy.optimize.minimize_scalar``, imported on first use."""
-    from scipy.optimize import minimize_scalar as scipy_minimize_scalar
-    return scipy_minimize_scalar(*args, **kwargs)
-
-
 def loglik_gradient_norm(sample: CensoredSample, params: ParamSet) -> float:
     """Euclidean norm of the score at ``params``, in the reported coordinates
     (location and scale, not variance): the family's closed-form
@@ -91,7 +84,7 @@ def _canonicalize_laplace(sample: CensoredSample, best: Laplace) -> Laplace:
     location is the segment midpoint (the usual sample-median convention).
     Else if the left slope is >= 0 the maximum is the kink itself; otherwise
     the slope crosses 0 inside a smooth segment and the simplex's location
-    stays.  The scale is then re-optimized on the log axis at that location.
+    stays.  The scale is the exact one there, so the result is not below ``best``.
     """
     x, c = np.sort(sample.uncensored), np.sort(sample.censor_times)
     at = bisect.bisect_left(
@@ -104,20 +97,7 @@ def _canonicalize_laplace(sample: CensoredSample, best: Laplace) -> Laplace:
             loc = 0.5 * (kink + float(sample.w[sample.w > kink].min()))
         elif left >= 0.0:
             loc = kink
-    t0 = math.log(best.sigma)
-    res = minimize_scalar(
-        lambda t: -observed_loglik(sample, Laplace(loc, math.exp(t))),
-        bounds=(t0 - 5.0, t0 + 5.0),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    refined = Laplace(loc, math.exp(float(res.x)))
-    base = observed_loglik(sample, best)
-    # points on the flat segment tie only up to rounding noise; keep the
-    # canonical midpoint unless it is worse by more than ridge tolerance
-    if observed_loglik(sample, refined) >= base - 1e-9 * (1.0 + abs(base)):
-        return refined
-    return best
+    return Laplace(loc, Laplace.profile_scale(loc, x, c))
 
 
 def _fit_laplace(sample: CensoredSample, start: Laplace) -> tuple[Laplace, int, bool]:

@@ -343,6 +343,26 @@ class Laplace:
         tied = int(hi - lo)
         return (counts + tied) + smooth, (counts - tied) + smooth
 
+    @staticmethod
+    def profile_scale(mu: float, x: np.ndarray, c: np.ndarray) -> float:
+        """Maximizer in sigma of the log-likelihood at location ``mu`` (``x``, ``c``
+        sorted).  In tau = 1/sigma the score m/tau - s + sum of a/(2e**(a tau) - 1)
+        over a = mu - c > 0 (s sums |x - mu| and the other c - mu) is convex and
+        decreasing: s/m if no a, else Newton from m/s (score >= 0) rises to the root."""
+        below = int(np.searchsorted(c, mu, "left"))
+        m, a = x.size, mu - c[:below]
+        s = exact_sum(np.concatenate([np.abs(x - mu), c[below:] - mu]))
+        tau = m / s
+        while below:
+            e = np.exp(-a * tau)
+            ar = a * e / (2.0 - e)
+            step = (math.fsum((m / tau, -s, exact_sum(ar)))
+                    / (m / (tau * tau) + 2.0 * float(np.sum(a * ar / (2.0 - e)))))
+            if not tau + step > tau:
+                return 1.0 / tau
+            tau += step
+        return s / m
+
     def reported_score(self, sample) -> tuple[float, float]:
         """Score of the censored log-likelihood of ``sample`` in (mu, sigma).
 

@@ -14,7 +14,8 @@ class DegenerateDataError(DataError):
 
 
 class NumericRangeError(ArithmeticError):
-    """A standardized censoring point lies so deep in the tail that the likelihood underflows."""
+    """A computation left the floating-point range it is accurate in; only its
+    subclass :class:`TailUnderflowError`, from the truncated normal sampler, is raised."""
 
 
 class TailUnderflowError(NumericRangeError):
@@ -22,4 +23,4 @@ class TailUnderflowError(NumericRangeError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Direct likelihood maximization failed to converge from every start."""
+    """The direct likelihood search did not end; the report is attached as ``.report``."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import operator
 from dataclasses import dataclass, field
 
 from .censoring import CensoredSample
@@ -31,6 +32,15 @@ class Algorithm(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int if it is one (a NumPy integer too); a float,
+    even an integral one, is refused rather than truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass
@@ -66,20 +76,22 @@ class FitConfig:
             raise ParameterError(
                 f"start parameters are for {self.start.family}, config family is {self.family}"
             )
-        if int(self.k) < 1:
+        self.k = _integer("k", self.k)
+        if self.k < 1:
             raise ParameterError("k must be a positive integer")
-        self.k = int(self.k)
-        if self.max_iter is not None and int(self.max_iter) < 1:
-            raise ParameterError("max_iter must be a positive integer")
+        if self.max_iter is not None:
+            self.max_iter = _integer("max_iter", self.max_iter)
+            if self.max_iter < 1:
+                raise ParameterError("max_iter must be a positive integer")
         if not (self.tol > 0.0):
             raise ParameterError("tol must be positive")
-        self.seed = int(self.seed)
+        self.seed = _integer("seed", self.seed)
         if not 0 <= self.seed < 2**64:
             raise ParameterError("seed must fit in an unsigned 64-bit integer")
 
     def resolved_max_iter(self) -> int:
         if self.max_iter is not None:
-            return int(self.max_iter)
+            return self.max_iter
         return 15 if self.algorithm is Algorithm.MCEM else 500
 
 

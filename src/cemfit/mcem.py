@@ -125,9 +125,10 @@ class MonteCarloAccumulator:
     ``v1``/``v2`` are the grand totals of the draws and their squares: the
     exactly rounded sums of each unit's row sums (``distributions.exact_sum``,
     equal to ``math.fsum``), so they do not depend on how the units were
-    chunked.  ``blocks`` holds the (units × K) chunks of draws themselves
-    only when asked to keep them (the Laplace median needs every draw);
-    otherwise it is empty and the accumulator holds one chunk at a time.
+    chunked.  Asked to keep the draws (the Laplace median needs every one),
+    the accumulator instead holds the (units × K) chunks in ``blocks`` and
+    computes no totals: ``v1`` and ``v2`` are then nan.  Otherwise
+    ``blocks`` is empty and the accumulator holds one chunk at a time.
     """
 
     v1: float
@@ -137,13 +138,13 @@ class MonteCarloAccumulator:
     @classmethod
     def from_blocks(cls, blocks: Iterable[np.ndarray],
                     keep: bool = False) -> "MonteCarloAccumulator":
-        s1, s2, kept = [], [], []
+        if keep:
+            return cls(math.nan, math.nan, list(blocks))
+        s1, s2 = [], []
         for b in blocks:
             s1.append(b.sum(axis=1))
             s2.append((b * b).sum(axis=1))
-            if keep:
-                kept.append(b)
-        return cls(_fsum_rows(s1), _fsum_rows(s2), kept)
+        return cls(_fsum_rows(s1), _fsum_rows(s2), [])
 
     def abs_deviation(self, center: float) -> float:
         """Sum of |draw - center| over every kept draw."""

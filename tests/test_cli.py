@@ -217,6 +217,13 @@ class TestSimulate:
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert all(int(r[1]) == 1 for r in rows)
 
+    def test_nan_censor_time_exits_one(self, capsys):
+        code, out, err = run(capsys, "simulate", "--family", "normal", "--params", "0,1",
+                             "--n", "5", "--censor-time", "nan")
+        assert code == 1
+        assert out == ""
+        assert "--censor-time" in err
+
     def test_same_seed_reproduces_bytes(self, capsys):
         argv = ["simulate", "--family", "laplace", "--params", "0,2",
                 "--n", "30", "--censor-time", "1.5", "--seed", "11"]

@@ -6,10 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from cemfit.censoring import CensoredSample, observed_loglik, write_censored_csv
 from cemfit.cli import main
@@ -179,7 +181,7 @@ def scan_canonical(sample, best):
     flat = candidates[values >= top - 1e-9 * (1.0 + abs(top))]
     loc = 0.5 * (flat.min() + flat.max()) if flat.size > 1 else float(candidates[np.argmax(values)])
     t0 = math.log(best.sigma)
-    res = cemfit.direct.minimize_scalar(
+    res = minimize_scalar(
         lambda t: -observed_loglik(sample, Laplace(loc, math.exp(t))),
         bounds=(t0 - 5.0, t0 + 5.0),
         method="bounded",
@@ -288,7 +290,58 @@ class TestLaplaceCanonicalization:
         monkeypatch.setattr(cemfit.direct, "observed_loglik",
                             lambda *a: calls.append(1) or real(*a))
         cemfit.direct._canonicalize_laplace(sample, Laplace(1.0, 2.0))
-        assert len(calls) <= 100
+        assert calls == []
+
+
+def profile_scale_case(seed):
+    """A random Laplace sample under normal bounds, its sorted exact values
+    and bounds, and the location mu = its upper median exact value."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 3000))
+    sc = 10 ** rng.uniform(-3, 3)
+    x = rng.laplace(rng.uniform(-5, 5) * sc, sc, n)
+    b = rng.normal(rng.uniform(-3, 3) * sc, rng.uniform(0.01, 10) * sc, n)
+    y, c = np.sort(x[x <= b]), np.sort(b[x > b])
+    return float(y[y.size // 2]), y, c
+
+
+def mp_profile_scale(mu, y, c):
+    """The root of the scale score in tau = 1/sigma at 40 digits, bracketed
+    by tau = m/s, where the score is >= 0, and (m + number of bounds below
+    mu)/s, where it is < 0 (each bound term is at most 1/(e tau))."""
+    with mpmath.workdps(40):
+        mu = mpmath.mpf(mu)
+        s = mpmath.fsum([abs(mpmath.mpf(float(v)) - mu) for v in y]
+                        + [mpmath.mpf(float(v)) - mu for v in c if v >= mu])
+        a = [mu - mpmath.mpf(float(v)) for v in c if v < mu]
+
+        def score(tau):
+            return y.size / tau - s + mpmath.fsum(
+                [ai * mpmath.exp(-ai * tau) / (2 - mpmath.exp(-ai * tau)) for ai in a])
+
+        tau = mpmath.findroot(score, (y.size / s, (y.size + len(a)) / s), solver="illinois")
+        return float(1 / tau)
+
+
+class TestProfileScale:
+    """``Laplace.profile_scale`` is the exact maximizer of the censored
+    log-likelihood in the scale at a fixed location."""
+
+    # 36, 62 and 363 never stop under a relative step threshold: their last
+    # steps stay above 1e-16 tau but below half an ulp of tau
+    @pytest.mark.parametrize("seed", [36, 62, 363, 1, 2, 3])
+    def test_matches_an_mpmath_root(self, seed):
+        mu, y, c = profile_scale_case(seed)
+        assert np.any(c < mu)
+        want = mp_profile_scale(mu, y, c)
+        assert Laplace.profile_scale(mu, y, c) == pytest.approx(want, rel=4.5e-16, abs=0)
+
+    def test_no_bound_below_is_closed_form(self):
+        sample = example_laplace()
+        y, c = np.sort(sample.uncensored), np.sort(sample.censor_times)
+        for mu in (0.5 * (y[9] + y[10]), float(y[0]), float(y[-1]), float(c[0])):
+            s = math.fsum(np.abs(y - mu).tolist() + (c - mu).tolist())
+            assert Laplace.profile_scale(mu, y, c) == s / y.size
 
 
 def kink_sample():

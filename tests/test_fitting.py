@@ -54,6 +54,17 @@ class TestFitConfig:
             FitConfig(Family.NORMAL, Algorithm.EM, max_iter=0)
         with pytest.raises(ParameterError):
             FitConfig(Family.NORMAL, Algorithm.EM, seed=-1)
+        # counts are never truncated: a float, even an integral one, is refused
+        for bad in ({"k": 10.9}, {"max_iter": 2.7}, {"seed": 3.9}, {"k": 10.0},
+                    {"max_iter": "3"}, {"seed": np.float64(1.0)}):
+            with pytest.raises(ParameterError):
+                FitConfig(Family.NORMAL, Algorithm.MCEM, **bad)
+
+    def test_numpy_integers_become_python_ints(self):
+        cfg = FitConfig(Family.NORMAL, Algorithm.MCEM, k=np.int64(7),
+                        max_iter=np.int32(2), seed=np.uint64(2**64 - 1))
+        assert (cfg.k, cfg.max_iter, cfg.seed) == (7, 2, 2**64 - 1)
+        assert all(type(v) is int for v in (cfg.k, cfg.max_iter, cfg.seed))
 
 
 class TestTrace:

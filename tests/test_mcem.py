@@ -55,6 +55,14 @@ class TestAccumulator:
         for b, k in zip(blocks, kept):
             np.testing.assert_array_equal(b, k)
 
+    def test_kept_draws_carry_no_totals(self):
+        blocks = [np.ones((2, 3)), np.zeros((1, 3))]
+        acc = mcem.MonteCarloAccumulator.from_blocks(iter(blocks), keep=True)
+        assert all(a is b for a, b in zip(acc.blocks, blocks)) and len(acc.blocks) == 2
+        assert math.isnan(acc.v1) and math.isnan(acc.v2)
+        acc = mcem.MonteCarloAccumulator.from_blocks(iter(blocks))
+        assert (acc.v1, acc.v2, acc.blocks) == (6.0, 6.0, [])
+
 
 class TestWeightedMedian:
     def test_matches_brute_force_on_random_multisets(self):
