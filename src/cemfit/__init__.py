@@ -9,10 +9,12 @@ Supports the normal, Laplace, and Rayleigh families with three routes:
   location and scale for Laplace), used as an independent cross-check of
   the EM fixed points.
 
-``fit`` dispatches on the configured route.  The package namespace holds
-what a user calls: the fits, sample I/O, the families, the configuration
-and trace types, and the exceptions.  The EM and MCEM steps, the truncated
-samplers and the random streams stay importable from their modules.
+``fit`` dispatches on the configured route.  On every route a fit that does
+not converge is returned with ``converged`` False, never raised.  The
+package namespace holds what a user calls: the fits, sample I/O, the
+families, the configuration and trace types, and the exceptions.  The EM
+and MCEM steps, the truncated samplers and the random streams stay
+importable from their modules.
 """
 
 from .censoring import (
@@ -30,7 +32,6 @@ from .em import fit_em
 from .exceptions import (
     DataError,
     DegenerateDataError,
-    NonConvergenceError,
     NumericRangeError,
     ParameterError,
     TailUnderflowError,
@@ -64,7 +65,6 @@ __all__ = [
     "FitConfig",
     "FitTrace",
     "Laplace",
-    "NonConvergenceError",
     "Normal",
     "NumericRangeError",
     "OptimizerReport",

@@ -131,6 +131,8 @@ def from_type2(values: Iterable[float], total_n: int) -> CensoredSample:
     r = len(vals)
     if r == 0:
         raise DataError("need at least one observed order statistic")
+    if not all(map(math.isfinite, vals)):
+        raise DataError("observed order statistics must be finite")
     if any(b < a for a, b in zip(vals, vals[1:])):
         raise DataError("observed order statistics must be sorted ascending")
     if total_n < r:

@@ -1,6 +1,6 @@
 """Command line interface: fit, convert-type2, and simulate.
 
-Exit codes: 0 on success/convergence, 2 when a fit fails to converge,
+Exit codes: 0 on success, 2 when a fit reports ``converged`` False,
 1 on any input or usage error.
 """
 
@@ -21,7 +21,7 @@ from .censoring import (
 from .direct import fit_direct
 from .distributions import Family, make_params
 from .em import fit_em
-from .exceptions import DataError, NonConvergenceError, NumericRangeError, ParameterError
+from .exceptions import DataError, NumericRangeError, ParameterError
 from .fitting import DEFAULT_SEED, Algorithm, FitConfig, FitTrace, TraceRow
 from .mcem import fit_mcem
 from .streams import RandomStream
@@ -54,7 +54,8 @@ def _build_parser() -> _Parser:
     fit.add_argument("--max-iter", type=int, default=None,
                      help="iteration budget (default 500 for em, 15 for mcem)")
     fit.add_argument("--tol", type=float, default=1e-8,
-                     help="em only: stop when no parameter moves more than this (default 1e-8)")
+                     help="em only: stop when no parameter moves more than this times "
+                          "sigma (default 1e-8)")
     fit.add_argument("--seed", type=int, default=DEFAULT_SEED)
     fit.add_argument("--trace", default=None, help="write the per-iteration trace CSV here")
 
@@ -123,10 +124,7 @@ def _cmd_fit(args) -> int:
 
     t0 = time.perf_counter()
     if algorithm is Algorithm.DIRECT:
-        try:
-            opt = fit_direct(sample, config)
-        except NonConvergenceError as err:
-            opt = err.report
+        opt = fit_direct(sample, config)
         trace = FitTrace(rows=[TraceRow(0, opt.argmax, opt.loglik)],
                          converged=opt.converged)
         extra = (f"iterations: {opt.iterations}  "

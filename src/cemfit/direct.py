@@ -39,7 +39,7 @@ import numpy as np
 
 from .censoring import CensoredSample, ensure_fittable, observed_loglik
 from .distributions import Family, Laplace, Normal, ParamSet, Rayleigh, exact_sum
-from .exceptions import NonConvergenceError, ParameterError
+from .exceptions import ParameterError
 from .fitting import Algorithm, FitConfig, default_start
 
 __all__ = [
@@ -194,10 +194,10 @@ def fit_direct(sample: CensoredSample, config: FitConfig) -> OptimizerReport:
     config field is consulted.  The Rayleigh maximum is unique and closed-form,
     so it ignores the start and reports 0 iterations.  ``converged`` means
     the search ended and the dimensionless mean score ``gradient_norm * scale
-    / n`` (scale: the last reported coordinate) is at most 1e-6.  Raises
-    :class:`NonConvergenceError` (with the report attached as ``.report``)
-    if the search does not end: the simplex hits its iteration cap, or
-    Newton its step cap or a singular Hessian.
+    / n`` (scale: the last reported coordinate) is at most 1e-6.  A search
+    that does not end (the simplex at its iteration cap, Newton at its step
+    cap or a singular Hessian) is reported with ``converged`` False at its
+    last point, as an EM trace that runs out of sweeps is; nothing is raised.
     """
     if config.algorithm is not Algorithm.DIRECT:
         raise ParameterError(f"fit_direct called with algorithm {config.algorithm}")
@@ -213,13 +213,7 @@ def fit_direct(sample: CensoredSample, config: FitConfig) -> OptimizerReport:
     grad = loglik_gradient_norm(sample, argmax)
     # the score sums n terms in units of 1/scale, so this reads alike at any n or scale
     converged = ended and grad * argmax.reported()[-1] / sample.n <= 1e-6
-    report = OptimizerReport(argmax, loglik, iterations, converged, grad)
-    if not ended:
-        route = "simplex" if family is Family.LAPLACE else "Newton"
-        err = NonConvergenceError(f"{route} search did not converge")
-        err.report = report
-        raise err
-    return report
+    return OptimizerReport(argmax, loglik, iterations, converged, grad)
 
 
 def rayleigh_mle_closed_form(sample: CensoredSample) -> Rayleigh:

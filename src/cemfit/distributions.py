@@ -34,7 +34,6 @@ __all__ = [
     "Laplace",
     "Rayleigh",
     "make_params",
-    "norm_pdf",
     "norm_cdf",
     "norm_sf",
     "norm_logsf",
@@ -119,12 +118,6 @@ def _open_unit(u) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # standard normal helpers
 # ---------------------------------------------------------------------------
-
-def norm_pdf(z):
-    """Standard normal density."""
-    z = np.asarray(z, dtype=float)
-    return _maybe_float(np.exp(-0.5 * z * z) / _SQRT_2PI)
-
 
 def norm_cdf(z):
     """Standard normal cdf via the complementary error function."""

@@ -72,9 +72,10 @@ def m_step(stats: NormalSuffStats, n: int) -> Normal:
 def fit_em(sample: CensoredSample, config: FitConfig) -> FitTrace:
     """Run the closed-form EM iteration (``FitConfig`` allows it for the normal family only).
 
-    Stops when both reported parameters move less than ``config.tol``
-    between sweeps, or after ``max_iter`` sweeps (non-convergence is flagged
-    on the trace, not raised).  Row 0 of the trace is the starting point.
+    Stops when both reported parameters move less than ``config.tol`` times
+    the new sigma between sweeps, so the rule reads alike in any units, or
+    after ``max_iter`` sweeps (non-convergence is flagged on the trace, not
+    raised).  Row 0 of the trace is the starting point.
     """
     if config.algorithm is not Algorithm.EM:
         raise ParameterError(f"fit_em called with algorithm {config.algorithm}")
@@ -87,7 +88,7 @@ def fit_em(sample: CensoredSample, config: FitConfig) -> FitTrace:
         trace.rows.append(TraceRow(s, new, observed_loglik(sample, new)))
         delta = max(abs(a - b) for a, b in zip(new.reported(), params.reported()))
         params = new
-        if delta < config.tol:
+        if delta < config.tol * new.sigma:
             trace.converged = True
             break
     return trace

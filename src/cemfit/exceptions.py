@@ -20,7 +20,3 @@ class NumericRangeError(ArithmeticError):
 
 class TailUnderflowError(NumericRangeError):
     """Truncation point leaves too little tail mass for stable sampling."""
-
-
-class NonConvergenceError(RuntimeError):
-    """The direct likelihood search did not end; the report is attached as ``.report``."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -51,7 +52,8 @@ class FitConfig:
     closed-form EM iteration, 15 for Monte Carlo EM (whose default stopping
     rule is the iteration budget itself).  ``k``, the replicates per censored
     unit in every iteration, only applies to Monte Carlo EM; ``tol``, the
-    parameter change that ends a run, only to the closed-form EM iteration.
+    parameter change in units of sigma that ends a run, only to the
+    closed-form EM iteration.
     """
 
     family: Family
@@ -83,8 +85,8 @@ class FitConfig:
             self.max_iter = _integer("max_iter", self.max_iter)
             if self.max_iter < 1:
                 raise ParameterError("max_iter must be a positive integer")
-        if not (self.tol > 0.0):
-            raise ParameterError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ParameterError("tol must be positive and finite")
         self.seed = _integer("seed", self.seed)
         if not 0 <= self.seed < 2**64:
             raise ParameterError("seed must fit in an unsigned 64-bit integer")

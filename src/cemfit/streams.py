@@ -145,7 +145,3 @@ class RandomStream:
             rekey(key)
             block[r] = row.uniforms(k)
         return block
-
-    def next_uniform(self) -> float:
-        """Single uniform draw from this stream, strictly inside (0, 1)."""
-        return float(self.uniforms(1)[0])

@@ -96,6 +96,12 @@ class TestFromType2:
         with pytest.raises(DataError):
             from_type2([2.0, 1.0], 4)
 
+    @pytest.mark.parametrize("values", [[1.0, math.nan, 0.5], [1.0, math.inf]], ids=str)
+    def test_nonfinite_rejected(self, values):
+        # a nan defeats the ordering check, so it is refused on its own
+        with pytest.raises(DataError, match="finite"):
+            from_type2(values, 4)
+
 
 class TestObservedLoglik:
     def test_complete_normal_equals_sum_of_logpdfs(self):

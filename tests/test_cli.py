@@ -3,6 +3,10 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +143,27 @@ class TestFitCommand:
         capsys.readouterr()
 
 
+class TestModuleEntryPoint:
+    """``python -m cemfit`` runs ``main`` and exits with its code."""
+
+    @pytest.mark.parametrize("args, code", [
+        (["--family", "normal", "--algorithm", "direct", "--data", NORMAL_CSV], 0),
+        (["--family", "normal", "--algorithm", "em", "--max-iter", "2", "--data", NORMAL_CSV], 2),
+        (["--family", "normal", "--data", "no-such-file.csv"], 1),
+    ], ids=["direct", "em-budget", "missing-file"])
+    def test_exit_codes(self, args, code, tmp_path):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-m", "cemfit", "fit", *args], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        if code == 1:
+            assert "cemfit: error:" in proc.stderr
+        else:
+            assert f"converged: {'yes' if code == 0 else 'no'}" in proc.stdout
+
+
 class TestConvertType2:
     def test_reference_order_statistics(self, capsys, tmp_path):
         values = tmp_path / "values.txt"
@@ -194,6 +219,15 @@ class TestConvertType2:
                            "--total-n", "5")
         assert code == 1
         assert "line 2" in err
+
+    def test_nan_value_is_an_error(self, capsys, tmp_path):
+        values = tmp_path / "values.txt"
+        values.write_text("1.0\nnan\n0.5\n")
+        code, out, err = run(capsys, "convert-type2", "--values", str(values),
+                             "--total-n", "4")
+        assert code == 1
+        assert "finite" in err
+        assert out == ""
 
 
 class TestSimulate:

@@ -20,7 +20,7 @@ import cemfit.direct
 from cemfit.direct import fit_direct, loglik_gradient_norm, rayleigh_mle_closed_form
 from cemfit.distributions import Family, Laplace, Normal, Rayleigh
 from cemfit.em import fit_em
-from cemfit.exceptions import DataError, NonConvergenceError, ParameterError
+from cemfit.exceptions import DataError, ParameterError
 from cemfit.fitting import Algorithm, FitConfig, default_start
 
 import reference_values as rv
@@ -81,13 +81,16 @@ class TestNormalDirect:
         assert sigma == pytest.approx(rv.NORMAL_MLE[1], abs=5e-4)
         assert report.gradient_norm <= 1e-5
 
-    def test_agrees_with_em_fixed_point(self):
-        sample = example_normal()
-        em = fit_em(sample, FitConfig(Family.NORMAL, Algorithm.EM,
-                                      tol=1e-12, max_iter=5000))
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6], ids=str)
+    def test_agrees_with_em_fixed_point(self, scale):
+        # at its default tol EM stops as close to the maximum in any units
+        base = example_normal()
+        sample = CensoredSample(base.w * scale, base.delta)
+        em = fit_em(sample, FitConfig(Family.NORMAL, Algorithm.EM))
+        assert em.converged
         direct = fit_direct(sample, direct_config(Family.NORMAL))
         for a, b in zip(em.final.reported(), direct.argmax.reported()):
-            assert a == pytest.approx(b, abs=1e-4)
+            assert a == pytest.approx(b, abs=1e-4 * scale)
 
     def test_report_is_internally_consistent(self):
         sample = example_normal()
@@ -201,10 +204,7 @@ def simplex_point(sample):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cemfit.direct, "_canonicalize_laplace",
                    lambda s, best: seen.append(best) or real(s, best))
-        try:
-            fit_direct(sample, direct_config(Family.LAPLACE))
-        except NonConvergenceError:
-            pass
+        fit_direct(sample, direct_config(Family.LAPLACE))
     return seen[0]
 
 
@@ -564,12 +564,10 @@ class TestNonConvergence:
 
     @pytest.mark.parametrize("family, capped", [(Family.LAPLACE, "capped_simplex"),
                                                 (Family.NORMAL, "capped_newton")], ids=str)
-    def test_raises_with_a_consistent_report(self, family, capped, request):
+    def test_returns_a_consistent_report(self, family, capped, request):
         request.getfixturevalue(capped)
         sample = BUNDLED[family]()
-        with pytest.raises(NonConvergenceError) as info:
-            fit_direct(sample, direct_config(family))
-        report = info.value.report
+        report = cemfit.fit(sample, direct_config(family))
         assert not report.converged
         assert report.iterations == 3
         assert report.loglik == observed_loglik(sample, report.argmax)
@@ -787,7 +785,7 @@ class TestNewtonProperties:
            factor=st.floats(-3.0, 3.0))
     def test_argmax_is_the_em_fixed_point_by_ascent(self, case, shift, factor):
         # from the moment start moved by ``shift`` sd and its scale times 10**factor
-        scale, sample = case
+        _, sample = case
         mu, sigma = default_start(sample, Family.NORMAL).reported()
         start = Normal.from_reported(mu + shift * sigma, sigma * 10.0 ** factor)
         report, seen = newton_iterates(sample, start)
@@ -798,7 +796,7 @@ class TestNewtonProperties:
         # the last, unsearched full step is far below rounding of the loglik
         assert report.loglik >= logliks[-1] - 1e-14 * (1.0 + abs(logliks[-1]))
         em = fit_em(sample, FitConfig(Family.NORMAL, Algorithm.EM,
-                                      tol=1e-11 * scale, max_iter=50_000))
+                                      tol=1e-11, max_iter=50_000))
         assert em.converged
         for got, want in zip(report.argmax.reported(), em.final.reported(), strict=True):
             assert got == pytest.approx(want, rel=0, abs=1e-6 * em.final.sigma)

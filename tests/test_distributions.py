@@ -17,7 +17,6 @@ from cemfit.distributions import (
     mills_ratio,
     norm_cdf,
     norm_logsf,
-    norm_pdf,
     norm_ppf,
     norm_sf,
 )
@@ -105,11 +104,6 @@ class TestStandardNormalKernels:
         for u in [0.5000001, 0.75, 0.9, 0.9995, 1 - 1e-12]:
             assert norm_ppf(u) == -norm_ppf(1.0 - u)
         assert norm_ppf(0.5) == 0.0
-
-    def test_pdf_matches_closed_form(self):
-        zs = np.linspace(-10, 10, 41)
-        assert_allclose(norm_pdf(zs), np.exp(-0.5 * zs**2) / math.sqrt(2 * math.pi),
-                        rtol=1e-15)
 
 
 class TestMillsRatio:

@@ -48,8 +48,9 @@ class TestFitConfig:
     def test_domain_checks(self):
         with pytest.raises(ParameterError):
             FitConfig(Family.NORMAL, Algorithm.MCEM, k=0)
-        with pytest.raises(ParameterError):
-            FitConfig(Family.NORMAL, Algorithm.EM, tol=0.0)
+        for tol in (0.0, -1e-8, math.inf, math.nan):
+            with pytest.raises(ParameterError):
+                FitConfig(Family.NORMAL, Algorithm.EM, tol=tol)
         with pytest.raises(ParameterError):
             FitConfig(Family.NORMAL, Algorithm.EM, max_iter=0)
         with pytest.raises(ParameterError):

@@ -74,12 +74,6 @@ class TestRangeContracts:
         chi2 = np.sum((counts - 10_000.0) ** 2) / 10_000.0
         assert 100 - 4 * np.sqrt(200) < chi2 < 100 + 4 * np.sqrt(200)
 
-    def test_next_uniform_matches_vector_draws(self):
-        stream = RandomStream(17).substream(3)
-        singles = [RandomStream(17).substream(3).next_uniform() for _ in range(1)]
-        vector = RandomStream(17).substream(3).uniforms(1)
-        assert singles[0] == vector[0]
-
     def test_draw_dtype_and_shape(self):
         u = RandomStream(0).uniforms(10)
         assert u.dtype == np.float64
