@@ -314,6 +314,12 @@ def random_censoring(seed=2024, n=300):
     return CensoredSample(np.minimum(x, c), (x <= c).astype(int))
 
 
+def positive_censoring():
+    """``random_censoring`` with every w replaced by |w|: a Rayleigh sample."""
+    sample = random_censoring()
+    return CensoredSample(np.abs(sample.w), sample.delta)
+
+
 # sha256 of FitTrace.to_csv() as produced by the unit-at-a-time E-step that
 # the chunked one replaced; chunking must not move a single draw
 GOLDEN_TRACES = {
@@ -330,15 +336,26 @@ GOLDEN_TRACES = {
     ("laplace", "bundled", 20000, 0): "4c35bef51a3e37cd2ffb7ae4613fdefbefd5036e7798b33ef05f96205b9659ca",
     ("rayleigh", "bundled", 20000, 0): "7d293081d2fe7ec4686df844e3a3bcc01c6aad0daada014b4a16c91b900330a2",
     ("laplace", "random", 9000, 11): "f436bca1abaf38f13ecd3f18f7975148d467ecc26c3fdd2c360282fc6304b941",
+    # small K: hundreds of units per sampler call
+    ("normal", "random", 1, 11): "503b8502ad4fa3a3d0de54c68bb0bcacc7ebe8a2a127f59e8165f8882fc663e9",
+    ("normal", "random", 4, 11): "ca2e0883ea64ca2668dd72a537875722d2ce1a1c1956c9d14cc586cc0f52495c",
+    ("normal", "random", 10, 11): "d79c2041bafa07f4502b0e45c4d172f0d3a23e4a46dbacc7ba63f7520199abaf",
+    ("laplace", "random", 1, 11): "ec49a02198d33803341c86cd48ab038537619eca6effc34b1516570dfddef77d",
+    ("laplace", "random", 4, 11): "63f1e7ec2122a3a1b381a2e05221eea8ab26d4c286b11fa34357792d94afe19a",
+    ("laplace", "random", 10, 11): "4b6ee3325681d9b1ff1a9bca8dbe78c026cd0bf712ab56de6998402f454696c7",
+    ("rayleigh", "random", 1, 11): "ca9ed771d26fcaaaf5fabfac673ecafbe212f2f39b25677584f2764eb4399a1a",
+    ("rayleigh", "random", 4, 11): "d7691825b85c00af5eaaefad8c35c60e8bcd75f823347b8e3289158c078dcc2f",
+    ("rayleigh", "random", 10, 11): "7e0de9f38725c8d1c9187d9ae3df79928197dd49f0e31ebe2d38269f8af2cdea",
 }
 BUNDLED = {"normal": example_normal, "laplace": example_laplace, "rayleigh": example_rayleigh}
+RANDOM = {"normal": random_censoring, "laplace": random_censoring, "rayleigh": positive_censoring}
 
 
 class TestChunkedEStep:
     @pytest.mark.parametrize("case", sorted(GOLDEN_TRACES), ids=lambda c: "-".join(map(str, c)))
     def test_traces_are_byte_identical_to_golden(self, case):
         family, data, k, seed = case
-        sample = BUNDLED[family]() if data == "bundled" else random_censoring()
+        sample = (BUNDLED if data == "bundled" else RANDOM)[family]()
         trace = fit_mcem(sample, FitConfig(Family(family), Algorithm.MCEM, k=k, max_iter=3,
                                            seed=seed))
         assert hashlib.sha256(trace.to_csv().encode()).hexdigest() == GOLDEN_TRACES[case]
@@ -348,7 +365,7 @@ class TestChunkedEStep:
         sample = random_censoring()
         cases = [(mcem_step_normal, Normal(0.0, 1.0)), (mcem_step_laplace, Laplace(0.0, 1.0)),
                  (mcem_step_rayleigh, Rayleigh(1.0))]
-        rayleigh = CensoredSample(np.abs(sample.w), sample.delta)
+        rayleigh = positive_censoring()
         stream = RandomStream(3).substream(1)
         expected = [step(rayleigh if step is mcem_step_rayleigh else sample, p, 37, stream)
                     for step, p in cases]
