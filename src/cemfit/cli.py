@@ -183,6 +183,9 @@ def _cmd_simulate(args) -> int:
         cutoff = args.censor_time
         if math.isnan(cutoff):
             raise ParameterError("--censor-time must be a number or inf, got nan")
+        if family is Family.RAYLEIGH and cutoff <= 0.0:
+            # every w would be <= 0, which fit refuses as a nonpositive observation
+            raise ParameterError(f"--censor-time must be positive for rayleigh, got {cutoff}")
         w = [min(float(x), cutoff) for x in draws]
         delta = [1 if float(x) <= cutoff else 0 for x in draws]
         sample = CensoredSample(w, delta)

@@ -68,12 +68,36 @@ def test_traced_fits_hit_every_hook(tracing):
     assert tracer.bound_violations == 0
 
 
+def random_censoring():
+    """300 normal lifetimes censored at their own normal bounds (241 censored)."""
+    rng = np.random.default_rng(2024)
+    x, c = rng.normal(0.0, 1.0, 300), rng.normal(-1.0, 1.0, 300)
+    return cemfit.CensoredSample(np.minimum(x, c), (x <= c).astype(int))
+
+
+@pytest.mark.parametrize("make", [example_normal, random_censoring])
+def test_traced_small_k_sweep_sees_every_draw(tracing, make):
+    # K = 10 draws the bundled sample's 3 units row by row and the 241 units
+    # of the random sample in one vectorized Philox pass; the sampler hook
+    # must see every draw either way
+    sample = make()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        sizes = count_draws("sample_truncated_normal")
+        cemfit.fit(sample, cemfit.FitConfig(cemfit.Family.NORMAL, cemfit.Algorithm.MCEM,
+                                            k=10, max_iter=1))
+    finally:
+        tracer.uninstall()
+    assert sum(sizes) == sample.censor_times.size * 10
+    assert tracer.summarize()["mcem.accumulate"]["count"] > 0
+    assert tracer.bound_violations == 0
+
+
 def test_traced_laplace_mcem_checks_bounds_on_both_branches(tracing):
     # bounds on both sides of the location put rows of both sampler
     # branches into one chunk, and the tracer checks every draw of it
-    rng = np.random.default_rng(2024)
-    x, c = rng.normal(0.0, 1.0, 300), rng.normal(-1.0, 1.0, 300)
-    sample = cemfit.CensoredSample(np.minimum(x, c), (x <= c).astype(int))
+    sample = random_censoring()
     assert (sample.censor_times < 0.0).any() and (sample.censor_times >= 0.0).any()
     tracer = tracing.Tracer()
     tracer.install()

@@ -258,6 +258,15 @@ class TestSimulate:
         assert out == ""
         assert "--censor-time" in err
 
+    @pytest.mark.parametrize("cutoff", ["0", "-1.5", "-inf"])
+    def test_nonpositive_rayleigh_censor_time_exits_one(self, capsys, cutoff):
+        # such a sample would hold only w <= 0, which fit refuses
+        code, out, err = run(capsys, "simulate", "--family", "rayleigh", "--params", "1",
+                             "--n", "4", f"--censor-time={cutoff}")
+        assert code == 1
+        assert out == ""
+        assert "--censor-time must be positive" in err
+
     def test_same_seed_reproduces_bytes(self, capsys):
         argv = ["simulate", "--family", "laplace", "--params", "0,2",
                 "--n", "30", "--censor-time", "1.5", "--seed", "11"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from cemfit import streams
 from cemfit.streams import RandomStream, _derive_key
 
 
@@ -151,3 +152,50 @@ class TestUnitBlocks:
             RandomStream(1).unit_uniforms([1.5], 3)
         with pytest.raises(TypeError):
             RandomStream(1).unit_uniforms(np.array([[1]]), 3)
+
+
+class TestVectorPhilox:
+    """``_philox_words`` runs Philox4x64-10 over many keys at once; every word
+    must equal NumPy's Philox keyed with the same key."""
+
+    KEYS = np.vstack([
+        np.random.default_rng(13).integers(0, 2**64, (40, 2), dtype=np.uint64, endpoint=False),
+        np.array([[0, 0], [2**64 - 1, 2**64 - 1], [0, 2**64 - 1], [2**64 - 1, 0]], np.uint64),
+    ])
+
+    @pytest.mark.parametrize("k", [*range(1, 10), streams._VECTOR_K_MAX - 1,
+                                   streams._VECTOR_K_MAX])
+    def test_words_equal_numpy_philox(self, k):
+        words = streams._philox_words(self.KEYS, k)
+        assert words.shape == (len(self.KEYS), k) and words.flags.c_contiguous
+        for row, key in zip(words, self.KEYS):
+            assert_array_equal(row, np.random.Philox(key=key).random_raw(k))
+
+    @pytest.mark.parametrize("k", [1, 4, 10, streams._VECTOR_K_MAX - 1, streams._VECTOR_K_MAX])
+    @pytest.mark.parametrize("extra", [-1, 0], ids=["few-units", "many-units"])
+    def test_rows_equal_substreams_on_both_sides_of_the_crossover(self, monkeypatch, k, extra):
+        # the units of TestUnitBlocks, repeated to reach or just miss the unit crossover
+        units = ([5, -1, 70_000, 2**63 + 3] * streams._VECTOR_MIN_UNITS)[
+            :streams._VECTOR_MIN_UNITS + extra]
+        passes, words = [], streams._philox_words
+
+        def spy(keys, k):
+            passes.append(len(keys))
+            return words(keys, k)
+
+        monkeypatch.setattr(streams, "_philox_words", spy)
+        stream = RandomStream(2).substream(9)
+        block = stream.unit_uniforms(units, k)
+        vectorized = k < streams._VECTOR_K_MAX and extra == 0
+        assert passes == ([len(units)] if vectorized else [])
+        assert block.shape == (len(units), k)
+        for row, unit in zip(block, units):
+            assert_array_equal(row, stream.substream(unit).uniforms(k))
+
+    @pytest.mark.parametrize("n", [0, 1, 3, streams._VECTOR_MIN_UNITS])
+    def test_k_is_treated_alike_on_every_path(self, n):
+        stream = RandomStream(5)
+        for k in (0, streams._VECTOR_K_MAX):
+            assert stream.unit_uniforms(np.arange(n), k).shape == (n, k)
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            stream.unit_uniforms(np.arange(n), -1)
