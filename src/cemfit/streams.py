@@ -30,12 +30,11 @@ _ONE_MINUS_HALF_GRAIN = 1.0 - 2.0**-53
 # Philox4x64-10 (Salmon, Moraes, Dror & Shaw, SC'11) as in NumPy's Philox: the
 # two round multipliers, split into 32-bit halves, and the two Weyl key increments,
 # each shaped (2, 1, 1) to act on the pair of words it belongs to
-_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64).reshape(2, 1, 1)
-_PHILOX_M_LO = _PHILOX_M & np.uint64(0xFFFFFFFF)
-_PHILOX_M_HI = _PHILOX_M >> np.uint64(32)
-_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64).reshape(2, 1, 1)
 _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64).reshape(2, 1, 1)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _S32
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64).reshape(2, 1, 1)
 # unit_uniforms draws the rows of at least _VECTOR_MIN_UNITS units at once below
 # _VECTOR_K_MAX draws per unit; with fewer units or more draws, re-keying one
 # Philox per row is faster (measured crossovers, see BENCH_philox_small_k.json)
@@ -179,9 +178,6 @@ class RandomStream:
             units = np.array([operator.index(c) & _MASK64 for c in units], dtype=np.uint64)
         if units.ndim != 1:
             raise TypeError("units must be one-dimensional")
-        if k < _VECTOR_K_MAX and units.size >= _VECTOR_MIN_UNITS:
-            return _to_uniforms(_philox_words(
-                _derive_keys(self.seed, self.path, units.astype(np.uint64)), k))
         if self._rows is None:
             self._rows = RandomStream(self.seed, self.path)
         row = self._rows
@@ -201,6 +197,8 @@ class RandomStream:
             rekey(_derive_key(self.seed, self.path + (int(units[0]),)))
             return row.uniforms(k).reshape(1, k)
         keys = _derive_keys(self.seed, self.path, units.astype(np.uint64))
+        if k < _VECTOR_K_MAX and units.size >= _VECTOR_MIN_UNITS:
+            return _to_uniforms(_philox_words(keys, k))
         block = np.empty((units.size, k))
         for r, key in enumerate(keys):
             rekey(key)
