@@ -6,7 +6,7 @@ same (seed, path) always yields the same sequence no matter how many other
 streams were used before it, which makes Monte Carlo runs bit-reproducible
 regardless of execution order or parallel scheduling.
 
-A block of many units at small K is generated by ``_philox_words``, a NumPy
+A block of several units at small K is generated by ``_philox_words``, a NumPy
 Philox4x64-10 that runs every (unit, counter) block of the request as one
 set of uint64 array operations; its words equal those of a Philox keyed per
 unit bit for bit, so the path taken changes no draw.
@@ -35,11 +35,10 @@ _S32 = np.uint64(32)
 _PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64).reshape(2, 1, 1)
 _PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _S32
 _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64).reshape(2, 1, 1)
-# unit_uniforms draws the rows of at least _VECTOR_MIN_UNITS units at once below
-# _VECTOR_K_MAX draws per unit; with fewer units or more draws, re-keying one
-# Philox per row is faster (measured crossovers, see BENCH_philox_small_k.json)
+# unit_uniforms draws several units at once below _VECTOR_K_MAX draws per unit;
+# from there up, NumPy's Philox re-keyed per row makes the words faster (measured
+# crossover, BENCH_philox_small_k.json), and RandomStream.uniforms sees every draw
 _VECTOR_K_MAX = 80
-_VECTOR_MIN_UNITS = 48
 
 
 def _splitmix64(x: int) -> int:
@@ -163,12 +162,11 @@ class RandomStream:
         """A (len(units), k) block whose row r is ``self.substream(units[r]).uniforms(k)``.
 
         The keys of several units are derived in one pass over a uint64 array.
-        Below ``_VECTOR_K_MAX`` draws per unit and from ``_VECTOR_MIN_UNITS``
-        units up, every row's Philox words come from one vectorized pass
-        (``_philox_words``) and are converted in place; otherwise one row
-        generator, made on the first call and kept by this stream, is
-        re-keyed for each row.  Both give the same bits.  This stream's own
-        position is not touched.
+        Below ``_VECTOR_K_MAX`` draws per unit, their Philox words come from
+        one vectorized pass (``_philox_words``) and are converted in place;
+        from there up, and for a single unit, one row generator, made on the
+        first call and kept by this stream, is re-keyed for each row.  Both
+        give the same bits.  This stream's own position is not touched.
         """
         k = operator.index(k)
         if k < 0:
@@ -197,7 +195,7 @@ class RandomStream:
             rekey(_derive_key(self.seed, self.path + (int(units[0]),)))
             return row.uniforms(k).reshape(1, k)
         keys = _derive_keys(self.seed, self.path, units.astype(np.uint64))
-        if k < _VECTOR_K_MAX and units.size >= _VECTOR_MIN_UNITS:
+        if k < _VECTOR_K_MAX:
             return _to_uniforms(_philox_words(keys, k))
         block = np.empty((units.size, k))
         for r, key in enumerate(keys):

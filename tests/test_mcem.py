@@ -28,6 +28,7 @@ from cemfit.truncated import (
     sample_truncated_rayleigh,
 )
 
+from censored_samples import positive_censoring, random_censoring
 import reference_values as rv
 
 
@@ -303,21 +304,6 @@ class TestStationaryNoise:
         assert spreads[0] > spreads[1] > spreads[2]
         assert 1.5 < spreads[0] / spreads[1] < 7.0
         assert 1.5 < spreads[1] / spreads[2] < 7.0
-
-
-def random_censoring(seed=2024, n=300):
-    """Normal lifetimes censored at their own normal bounds: 241 of 300 units
-    censored, with bounds on both sides of the location."""
-    rng = np.random.default_rng(seed)
-    x = rng.normal(0.0, 1.0, n)
-    c = rng.normal(-1.0, 1.0, n)
-    return CensoredSample(np.minimum(x, c), (x <= c).astype(int))
-
-
-def positive_censoring():
-    """``random_censoring`` with every w replaced by |w|: a Rayleigh sample."""
-    sample = random_censoring()
-    return CensoredSample(np.abs(sample.w), sample.delta)
 
 
 # sha256 of FitTrace.to_csv() as produced by the unit-at-a-time E-step that

@@ -172,11 +172,9 @@ class TestVectorPhilox:
             assert_array_equal(row, np.random.Philox(key=key).random_raw(k))
 
     @pytest.mark.parametrize("k", [1, 4, 10, streams._VECTOR_K_MAX - 1, streams._VECTOR_K_MAX])
-    @pytest.mark.parametrize("extra", [-1, 0], ids=["few-units", "many-units"])
-    def test_rows_equal_substreams_on_both_sides_of_the_crossover(self, monkeypatch, k, extra):
-        # the units of TestUnitBlocks, repeated to reach or just miss the unit crossover
-        units = ([5, -1, 70_000, 2**63 + 3] * streams._VECTOR_MIN_UNITS)[
-            :streams._VECTOR_MIN_UNITS + extra]
+    @pytest.mark.parametrize("units", [[2**63 + 3], [5, -1, 70_000, 2**63 + 3]],
+                             ids=["one-unit", "several-units"])
+    def test_rows_equal_substreams_on_both_sides_of_the_crossover(self, monkeypatch, k, units):
         passes, words = [], streams._philox_words
 
         def spy(keys, k):
@@ -186,13 +184,13 @@ class TestVectorPhilox:
         monkeypatch.setattr(streams, "_philox_words", spy)
         stream = RandomStream(2).substream(9)
         block = stream.unit_uniforms(units, k)
-        vectorized = k < streams._VECTOR_K_MAX and extra == 0
+        vectorized = k < streams._VECTOR_K_MAX and len(units) > 1
         assert passes == ([len(units)] if vectorized else [])
         assert block.shape == (len(units), k)
         for row, unit in zip(block, units):
             assert_array_equal(row, stream.substream(unit).uniforms(k))
 
-    @pytest.mark.parametrize("n", [0, 1, 3, streams._VECTOR_MIN_UNITS])
+    @pytest.mark.parametrize("n", [0, 1, 3])
     def test_k_is_treated_alike_on_every_path(self, n):
         stream = RandomStream(5)
         for k in (0, streams._VECTOR_K_MAX):
