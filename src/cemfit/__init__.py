@@ -5,8 +5,8 @@ Supports the normal, Laplace, and Rayleigh families with three routes:
 * ``fit_em``     closed-form EM iteration (normal family only),
 * ``fit_mcem``   Monte Carlo EM with reproducible truncated draws,
 * ``fit_direct`` direct maximization of the censored likelihood (Newton
-  for normal, a closed form for Rayleigh, a simplex search plus the exact
-  location and scale for Laplace), used as an independent cross-check of
+  for normal, a closed form for Rayleigh, one bisection of the exact
+  location-profile slopes for Laplace), used as an independent cross-check of
   the EM fixed points.
 
 ``fit`` dispatches on the configured route.  On every route a fit that does

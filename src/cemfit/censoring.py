@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from functools import cached_property
 from typing import Iterable
 
@@ -135,6 +136,10 @@ def from_type2(values: Iterable[float], total_n: int) -> CensoredSample:
         raise DataError("observed order statistics must be finite")
     if any(b < a for a, b in zip(vals, vals[1:])):
         raise DataError("observed order statistics must be sorted ascending")
+    try:
+        total_n = operator.index(total_n)
+    except TypeError:
+        raise DataError(f"total_n must be an integer, got {total_n!r}") from None
     if total_n < r:
         raise DataError(f"total_n={total_n} is smaller than the {r} observed values")
     w = vals + [vals[-1]] * (total_n - r)

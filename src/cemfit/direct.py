@@ -13,20 +13,19 @@ the observed log-likelihood; Newton converges quadratically near the
 maximum, so a fit takes a handful of steps.
 
 The Laplace likelihood has kinks at the exact values, so Newton does not
-apply: one derivative-free simplex search runs from the start over (mu,
-log sigma).  The simplex stops only approximately at a kink, and when the
-exact observations balance, an entire interval between two data values
-attains the maximum.  Bisection on the exact one-sided location slopes
-(``Laplace.location_slopes``) over the sorted exact values (O(log n) slope
-evaluations, no likelihood evaluation) puts the location on the maximizing
-kink or mid flat top; ``Laplace.profile_scale`` gives the exact scale there.
+apply, and when the exact observations balance, an entire interval between
+two data values attains the maximum.  Its location profile
+p(mu) = l(mu, ``Laplace.profile_scale``(mu)) is quasi-concave, since l is
+jointly concave in (mu/sigma, 1/sigma) (Boyd & Vandenberghe, *Convex
+Optimization*, 2004, sec. 2.3.3), and by the envelope theorem its one-sided
+slopes are ``Laplace.location_slopes`` at (mu, profile_scale(mu)).  One
+bisection of their sign, over the sorted exact values and then inside a
+smooth segment, finds the exact maximizing kink, flat-top midpoint or root;
+it reads no start and evaluates no likelihood.
 
 The score behind ``converged`` is each family's analytic ``reported_score``;
 for the Laplace location it is the minimum-norm subgradient element, 0 at a
 kink that is a maximum.
-
-``minimize`` forwards to SciPy's, imported on the first Laplace direct fit
-only: no other route needs ``scipy.optimize``, the largest import of cemfit.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ class OptimizerReport:
 
 
 def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first use."""
+    """SciPy's ``minimize``; no fit calls it, but perfbench/tracing.py patches it."""
     from scipy.optimize import minimize as scipy_minimize
     return scipy_minimize(*args, **kwargs)
 
@@ -74,49 +73,50 @@ def loglik_gradient_norm(sample: CensoredSample, params: ParamSet) -> float:
     return math.hypot(*params.reported_score(sample))
 
 
-def _canonicalize_laplace(sample: CensoredSample, best: Laplace) -> Laplace:
-    """Put the location on the exact maximum of its profile at ``best.sigma``.
+def _fit_laplace(sample: CensoredSample) -> tuple[Laplace, int, bool]:
+    """The exact maximum of the Laplace location profile (module docstring).
 
-    The profile is concave with kinks at the exact values, so its slope is
-    monotone: bisection over the sorted exact values finds the first kink
-    whose right slope is <= 0.  If that slope is exactly 0 with no bound at
-    or below the kink, the top is flat up to the next data value and the
-    location is the segment midpoint (the usual sample-median convention).
-    Else if the left slope is >= 0 the maximum is the kink itself; otherwise
-    the slope crosses 0 inside a smooth segment and the simplex's location
-    stays.  The scale is the exact one there, so the result is not below ``best``.
+    The first exact value whose right slope is <= 0 is a flat top's lower end
+    if that slope is 0 with no bound at or below it (the location is then the
+    midpoint up to the next data value), else the maximum if its left slope
+    is >= 0.  Otherwise the root lies in the smooth segment below it, or above
+    every exact value, bracketed by steps that start at the scale and double,
+    and bisection ends at two adjacent floats: the one whose slope is nearer
+    0 is kept.  Returns the fit, the number of profile evaluations and True.
     """
     x, c = np.sort(sample.uncensored), np.sort(sample.censor_times)
-    at = bisect.bisect_left(
-        x, True, key=lambda v: Laplace(float(v), best.sigma).location_slopes(x, c)[1] <= 0.0)
-    loc = best.mu
+    evals = 0
+
+    def profile(mu: float) -> tuple[Laplace, tuple[float, float]]:
+        nonlocal evals
+        evals += 1
+        params = Laplace(mu, Laplace.profile_scale(mu, x, c))
+        return params, params.location_slopes(x, c)
+
+    at = bisect.bisect_left(x, True, key=lambda v: profile(float(v))[1][1] <= 0.0)
     if at < x.size:
-        kink = float(x[at])
-        left, right = Laplace(kink, best.sigma).location_slopes(x, c)
-        if right == 0.0 and not np.any(c <= kink):
-            loc = 0.5 * (kink + float(sample.w[sample.w > kink].min()))
-        elif left >= 0.0:
-            loc = kink
-    return Laplace(loc, Laplace.profile_scale(loc, x, c))
-
-
-def _fit_laplace(sample: CensoredSample, start: Laplace) -> tuple[Laplace, int, bool]:
-    """One simplex search over (mu, log sigma), then the exact location."""
-
-    def objective(x):
-        try:
-            return -observed_loglik(sample, Laplace(float(x[0]), math.exp(float(x[1]))))
-        except (ParameterError, OverflowError):
-            return math.inf
-
-    res = minimize(
-        objective,
-        np.array([start.mu, math.log(start.sigma)]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 5000, "maxfev": 10000},
-    )
-    best = Laplace(float(res.x[0]), math.exp(float(res.x[1])))
-    return _canonicalize_laplace(sample, best), int(res.nit), bool(res.success)
+        kink, (left, right) = profile(float(x[at]))
+        if right == 0.0 and not np.any(c <= kink.mu):
+            top = float(sample.w[sample.w > kink.mu].min())
+            return profile(0.5 * (kink.mu + top))[0], evals, True
+        if left >= 0.0:
+            return kink, evals, True
+        (low, (_, rise)), high, fall = profile(float(x[at - 1])), kink, left
+    else:
+        low, (_, rise) = profile(float(x[-1]))
+        step = low.sigma
+        while True:
+            high, (fall, _) = profile(low.mu + step)
+            if fall <= 0.0:
+                break
+            low, rise, step = high, fall, 2.0 * step
+    while low.mu < (mid := 0.5 * (low.mu + high.mu)) < high.mu:
+        point, (slope, _) = profile(mid)
+        if slope > 0.0:
+            low, rise = point, slope
+        else:
+            high, fall = point, slope
+    return (low if rise < -fall else high), evals, True
 
 
 # Newton steps a fit may take; near the maximum each step about doubles the
@@ -188,16 +188,14 @@ def _fit_newton(sample: CensoredSample, start: Normal) -> tuple[Normal, int, boo
 
 
 def fit_direct(sample: CensoredSample, config: FitConfig) -> OptimizerReport:
-    """Maximize the censored-data log-likelihood from ``config.start``
-    (default: the family's moment start): damped Newton for the normal
-    family, one simplex search plus the exact location for Laplace; no other
-    config field is consulted.  The Rayleigh maximum is unique and closed-form,
-    so it ignores the start and reports 0 iterations.  ``converged`` means
-    the search ended and the dimensionless mean score ``gradient_norm * scale
-    / n`` (scale: the last reported coordinate) is at most 1e-6.  A search
-    that does not end (the simplex at its iteration cap, Newton at its step
-    cap or a singular Hessian) is reported with ``converged`` False at its
-    last point, as an EM trace that runs out of sweeps is; nothing is raised.
+    """Maximize the censored-data log-likelihood: damped Newton from
+    ``config.start`` (default: the moment start) for the normal family, the
+    profile bisection for Laplace, the closed form for Rayleigh; no other
+    config field is read.  ``iterations`` counts Newton steps, Laplace profile
+    evaluations or 0.  ``converged`` means the search ended and the mean score
+    ``gradient_norm * scale / n`` (scale: the last reported coordinate) is at
+    most 1e-6; a Newton search cut at its step cap or a singular Hessian is
+    reported unconverged at its last point, as an EM trace is; nothing raises.
     """
     if config.algorithm is not Algorithm.DIRECT:
         raise ParameterError(f"fit_direct called with algorithm {config.algorithm}")
@@ -206,9 +204,11 @@ def fit_direct(sample: CensoredSample, config: FitConfig) -> OptimizerReport:
         argmax, iterations, ended = rayleigh_mle_closed_form(sample), 0, True
     else:
         ensure_fittable(sample, family)
-        start = config.start if config.start is not None else default_start(sample, family)
-        search = _fit_laplace if family is Family.LAPLACE else _fit_newton
-        argmax, iterations, ended = search(sample, start)
+        if family is Family.LAPLACE:
+            argmax, iterations, ended = _fit_laplace(sample)
+        else:
+            start = config.start if config.start is not None else default_start(sample, family)
+            argmax, iterations, ended = _fit_newton(sample, start)
     loglik = observed_loglik(sample, argmax)
     grad = loglik_gradient_norm(sample, argmax)
     # the score sums n terms in units of 1/scale, so this reads alike at any n or scale

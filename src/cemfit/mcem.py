@@ -64,9 +64,12 @@ def weighted_median(values, weights, singles=()) -> float:
     partitioned.
     """
     v = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=np.int64)
+    w = np.asarray(weights)
     if v.shape != w.shape or v.ndim != 1:
         raise ParameterError("values and weights must be one-dimensional and equal length")
+    if w.dtype.kind == "f" and not np.all(np.isfinite(w) & (np.trunc(w) == w)):
+        raise ParameterError("weights must be integers")
+    w = w.astype(np.int64, copy=False)
     if v.size == 0 or np.any(w < 0):
         raise ParameterError("weights must be nonnegative with a positive total")
     heavy = w > 1

@@ -11,8 +11,8 @@ def laplace_scale_is_exact(monkeypatch):
     dimensionless scale score sigma * dl/dsigma / n is at most 1e-12."""
     real = cemfit.direct._fit_laplace
 
-    def checked(sample, start):
-        out = real(sample, start)
+    def checked(sample):
+        out = real(sample)
         argmax = out[0]
         score = argmax.reported_score(sample)[1] * argmax.sigma / sample.n
         assert abs(score) <= 1e-12, f"scale score {score:.3e} at {argmax}"

@@ -88,6 +88,11 @@ class TestFromType2:
         with pytest.raises(DataError):
             from_type2([1.0, 2.0, 3.0], 2)
 
+    @pytest.mark.parametrize("total_n", [3.0, 2.5, "3", None], ids=repr)
+    def test_non_integer_total_rejected(self, total_n):
+        with pytest.raises(DataError, match="total_n must be an integer"):
+            from_type2([1.0, 2.0], total_n)
+
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             from_type2([], 5)

@@ -58,7 +58,7 @@ class TestFitCommand:
 
     @pytest.mark.parametrize("family", ["normal", "laplace", "rayleigh"])
     def test_direct_iterations_label_names_no_route(self, capsys, family):
-        # normal fits by Newton, Laplace by a simplex search, Rayleigh in closed form
+        # normal fits by Newton, Laplace by a profile bisection, Rayleigh in closed form
         code, out, _ = run(capsys, "fit", "--family", family, "--algorithm", "direct",
                            "--data", str(dataset_path(f"{family}_type2")))
         assert code == 0

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize_scalar
 
 from cemfit.censoring import CensoredSample, observed_loglik, write_censored_csv
 from cemfit.cli import main
@@ -145,6 +144,13 @@ class TestLaplaceDirect:
         report = fit_direct(sample, direct_config(Family.LAPLACE))
         assert report.argmax.mu == 0.5 * (y[9] + y[10])
 
+    @pytest.mark.parametrize("start", [Laplace(-40.0, 1e-3), Laplace(60.0, 1e3)], ids=str)
+    def test_the_start_is_not_read(self, start):
+        sample = example_laplace()
+        report = fit_direct(sample, FitConfig(Family.LAPLACE, Algorithm.DIRECT, start=start))
+        assert report == fit_direct(sample, direct_config(Family.LAPLACE))
+        assert report.iterations == 6  # profile evaluations
+
     def test_argmax_is_a_maximizer_up_to_the_flat_ridge(self):
         sample = example_laplace()
         report = fit_direct(sample, direct_config(Family.LAPLACE))
@@ -172,44 +178,24 @@ class TestLaplaceDirect:
             done += 1
 
 
-def scan_canonical(sample, best):
-    """The former canonicalization, kept as an oracle: one log-likelihood
-    evaluation per data value, a flat top (within relative 1e-9 of the best)
-    replaced by its midpoint, then the same scale refit and guard."""
-    candidates = np.unique(np.concatenate([sample.w, [best.mu]]))
-    values = np.array([
-        observed_loglik(sample, Laplace(float(c), best.sigma)) for c in candidates
-    ])
+def scan_canonical(sample):
+    """A scan oracle: the profile log-likelihood l(v, profile_scale(v)) at
+    every data value v, a flat top (within relative 1e-9 of the best)
+    replaced by its midpoint, at the exact scale there."""
+    x, c = np.sort(sample.uncensored), np.sort(sample.censor_times)
+
+    def profile(v):
+        return Laplace(float(v), Laplace.profile_scale(float(v), x, c))
+
+    candidates = np.unique(sample.w)
+    values = np.array([observed_loglik(sample, profile(v)) for v in candidates])
     top = values.max()
     flat = candidates[values >= top - 1e-9 * (1.0 + abs(top))]
-    loc = 0.5 * (flat.min() + flat.max()) if flat.size > 1 else float(candidates[np.argmax(values)])
-    t0 = math.log(best.sigma)
-    res = minimize_scalar(
-        lambda t: -observed_loglik(sample, Laplace(loc, math.exp(t))),
-        bounds=(t0 - 5.0, t0 + 5.0),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    refined = Laplace(loc, math.exp(float(res.x)))
-    base = observed_loglik(sample, best)
-    if observed_loglik(sample, refined) >= base - 1e-9 * (1.0 + abs(base)):
-        return refined
-    return best
-
-
-def simplex_point(sample):
-    """The Laplace simplex argmax that ``fit_direct`` hands to canonicalization."""
-    seen = []
-    real = cemfit.direct._canonicalize_laplace
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cemfit.direct, "_canonicalize_laplace",
-                   lambda s, best: seen.append(best) or real(s, best))
-        fit_direct(sample, direct_config(Family.LAPLACE))
-    return seen[0]
+    return profile(0.5 * (flat.min() + flat.max()) if flat.size > 1 else flat[0])
 
 
 def assert_not_lower(got, want):
-    """``got >= want`` up to the rounding of two separately refitted scales."""
+    """``got >= want`` up to rounding: the fit reaches at least the scan's top."""
     assert got >= want - 1e-12 * (1.0 + abs(want))
 
 
@@ -252,36 +238,30 @@ def flat_top_samples(draw):
 
 
 class TestLaplaceCanonicalization:
-    """Bisection on the exact location subgradient finds what the
-    one-evaluation-per-data-value scan found."""
+    """The profile bisection reaches at least the top of a scan of the
+    profile over every data value, and finds a flat top's midpoint."""
 
     @settings(max_examples=200, deadline=None)
     @given(sample=grid_samples())
     def test_matches_the_scan(self, sample):
-        best = simplex_point(sample)
-        got = cemfit.direct._canonicalize_laplace(sample, best)
-        want = scan_canonical(sample, best)
-        if got.mu != pytest.approx(want.mu, rel=0, abs=1e-9 * best.sigma):
-            # the scan calls every candidate within relative 1e-9 of its top
-            # flat and takes their midpoint; beside a kink with a bound on it
-            # the profile falls off only quadratically, so the simplex point
-            # and that kink both pass and the scan lands between them
-            assert any(want.mu == 0.5 * (v + best.mu) for v in np.unique(sample.w))
+        got = fit_direct(sample, direct_config(Family.LAPLACE)).argmax
+        want = scan_canonical(sample)
         assert_not_lower(observed_loglik(sample, got), observed_loglik(sample, want))
 
     @settings(max_examples=100, deadline=None)
     @given(case=flat_top_samples())
     def test_flat_top_is_its_midpoint(self, case):
         (left, right), sample = case
-        best = simplex_point(sample)
-        got = cemfit.direct._canonicalize_laplace(sample, best)
+        got = fit_direct(sample, direct_config(Family.LAPLACE)).argmax
         assert got.mu == 0.5 * (left + right)
-        want = scan_canonical(sample, best)
+        want = scan_canonical(sample)
         assert got.mu == want.mu
         assert_not_lower(observed_loglik(sample, got), observed_loglik(sample, want))
 
     @pytest.mark.parametrize("n", [200, 20_000])
     def test_evaluations_do_not_grow_with_n(self, n, monkeypatch):
+        # both samples have their maximum inside a smooth segment, so the
+        # count includes the bisection between two adjacent kinks
         rng = np.random.default_rng(n)
         x, bound = rng.laplace(1.0, 2.0, n), rng.normal(2.0, 3.0, n)
         sample = CensoredSample(np.minimum(x, bound), (x <= bound).astype(int))
@@ -289,8 +269,9 @@ class TestLaplaceCanonicalization:
         real = cemfit.direct.observed_loglik
         monkeypatch.setattr(cemfit.direct, "observed_loglik",
                             lambda *a: calls.append(1) or real(*a))
-        cemfit.direct._canonicalize_laplace(sample, Laplace(1.0, 2.0))
-        assert calls == []
+        report = fit_direct(sample, direct_config(Family.LAPLACE))
+        assert len(calls) == 1  # the report's log-likelihood
+        assert report.iterations < 2 * math.log2(sample.m) + 70
 
 
 def profile_scale_case(seed):
@@ -305,12 +286,12 @@ def profile_scale_case(seed):
     return float(y[y.size // 2]), y, c
 
 
-def mp_profile_scale(mu, y, c):
-    """The root of the scale score in tau = 1/sigma at 40 digits, bracketed
-    by tau = m/s, where the score is >= 0, and (m + number of bounds below
-    mu)/s, where it is < 0 (each bound term is at most 1/(e tau))."""
+def mp_profile_tau(mu, y, c):
+    """The root of the scale score in tau = 1/sigma at 40 digits (``mu`` an
+    mpf), bracketed by tau = m/s, where the score is >= 0, and (m + number of
+    bounds below mu)/s, where it is < 0 (each bound term is at most
+    1/(e tau))."""
     with mpmath.workdps(40):
-        mu = mpmath.mpf(mu)
         s = mpmath.fsum([abs(mpmath.mpf(float(v)) - mu) for v in y]
                         + [mpmath.mpf(float(v)) - mu for v in c if v >= mu])
         a = [mu - mpmath.mpf(float(v)) for v in c if v < mu]
@@ -319,8 +300,27 @@ def mp_profile_scale(mu, y, c):
             return y.size / tau - s + mpmath.fsum(
                 [ai * mpmath.exp(-ai * tau) / (2 - mpmath.exp(-ai * tau)) for ai in a])
 
-        tau = mpmath.findroot(score, (y.size / s, (y.size + len(a)) / s), solver="illinois")
-        return float(1 / tau)
+        return mpmath.findroot(score, (y.size / s, (y.size + len(a)) / s), solver="illinois")
+
+
+def mp_profile_scale(mu, y, c):
+    with mpmath.workdps(40):
+        return float(1 / mp_profile_tau(mpmath.mpf(mu), y, c))
+
+
+def mp_profile_root(y, c, bracket):
+    """The root at 40 digits of sigma times the profile's location slope,
+    sum of sign(y - mu) + bounds at or above mu + e**z / (2 - e**z) over
+    bounds below, z = (c - mu) / sigma(mu), inside ``bracket``, a range
+    between two exact values where the slope is smooth."""
+    with mpmath.workdps(40):
+        def slope(mu):
+            tau = mp_profile_tau(mu, y, c)
+            e = [mpmath.exp((mpmath.mpf(float(v)) - mu) * tau) for v in c if v < mu]
+            return (sum(1 if v > mu else -1 for v in y) + sum(1 for v in c if v >= mu)
+                    + mpmath.fsum([ei / (2 - ei) for ei in e]))
+
+        return float(mpmath.findroot(slope, tuple(map(mpmath.mpf, bracket)), solver="illinois"))
 
 
 class TestProfileScale:
@@ -342,6 +342,25 @@ class TestProfileScale:
         for mu in (0.5 * (y[9] + y[10]), float(y[0]), float(y[-1]), float(c[0])):
             s = math.fsum(np.abs(y - mu).tolist() + (c - mu).tolist())
             assert Laplace.profile_scale(mu, y, c) == s / y.size
+
+
+class TestSmoothSegmentRoot:
+    """Where the profile's maximum lies between two kinks, the bisection
+    ends on the exact root of its slope."""
+
+    # (exact values, bounds, a bracket inside the smooth segment, the root):
+    # the second root lies above every exact value, behind the doubling bracket
+    CASES = [((0.0, 1.0, 4.0), (-1.0, 2.5), (2.0, 3.0), 2.5646351),
+             ((0.0, 1.0), (-2.0, 1.5, 1.5), (1.25, 2.0), 1.5034261)]
+
+    @pytest.mark.parametrize("y, c, bracket, approx", CASES, ids=["inner", "above"])
+    def test_matches_an_mpmath_root(self, y, c, bracket, approx):
+        sample = CensoredSample(y + c, [1] * len(y) + [0] * len(c))
+        report = fit_direct(sample, direct_config(Family.LAPLACE))
+        want = mp_profile_root(np.array(y), np.array(c), bracket)
+        assert want == pytest.approx(approx, abs=1e-7)
+        assert report.argmax.mu == pytest.approx(want, rel=0, abs=4 * math.ulp(want))
+        assert report.converged
 
 
 def kink_sample():
@@ -511,34 +530,24 @@ FAR_STARTS = [
 class TestOneSearch:
     """Every family's censored log-likelihood has a single maximum, so one
     search per fit reaches it, even from a start far away: Newton for the
-    normal and Rayleigh families, with no simplex search, and one simplex
-    search for Laplace."""
-
-    @pytest.fixture
-    def searches(self, monkeypatch):
-        calls = []
-        real = cemfit.direct.minimize
-
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cemfit.direct, "minimize", counting)
-        return calls
+    normal family, the closed form for Rayleigh and the profile bisection for
+    Laplace, neither of which reads the start; no fit runs a simplex."""
 
     @pytest.mark.parametrize("family", list(BUNDLED), ids=str)
-    def test_only_laplace_runs_a_simplex_search(self, family, searches):
-        fit_direct(BUNDLED[family](), direct_config(family))
-        assert len(searches) == (family is Family.LAPLACE)
+    def test_no_fit_runs_a_simplex_search(self, family, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("direct.minimize called")
+
+        monkeypatch.setattr(cemfit.direct, "minimize", refuse)
+        assert fit_direct(BUNDLED[family](), direct_config(family)).converged
 
     @pytest.mark.parametrize("family, shift, factor", FAR_STARTS, ids=str)
-    def test_far_start_reaches_the_reference(self, family, shift, factor, searches):
+    def test_far_start_reaches_the_reference(self, family, shift, factor):
         sample = BUNDLED[family]()
         base = default_start(sample, family)
         *loc, scale = base.reported()
         start = type(base).from_reported(*(v + shift * scale for v in loc), scale * factor)
         report = fit_direct(sample, FitConfig(family, Algorithm.DIRECT, start=start))
-        assert len(searches) == (family is Family.LAPLACE)
         assert report.converged
         ref = _reference_mle(family, sample).reported()
         for got, want in zip(report.argmax.reported(), ref, strict=True):
@@ -546,24 +555,15 @@ class TestOneSearch:
 
 
 class TestNonConvergence:
-    """A search cut short by its iteration cap is reported, not hidden."""
-
-    @pytest.fixture
-    def capped_simplex(self, monkeypatch):
-        real = cemfit.direct.minimize
-
-        def capped(fun, x0, **kwargs):
-            return real(fun, x0, **{**kwargs, "options": {**kwargs["options"], "maxiter": 3}})
-
-        monkeypatch.setattr(cemfit.direct, "minimize", capped)
+    """A search cut short by its iteration cap is reported, not hidden.  Only
+    Newton has a cap: the Laplace profile bisection always ends."""
 
     @pytest.fixture
     def capped_newton(self, monkeypatch):
         # the bundled normal sample needs 5 Newton steps
         monkeypatch.setattr(cemfit.direct, "_NEWTON_MAX_STEPS", 3)
 
-    @pytest.mark.parametrize("family, capped", [(Family.LAPLACE, "capped_simplex"),
-                                                (Family.NORMAL, "capped_newton")], ids=str)
+    @pytest.mark.parametrize("family, capped", [(Family.NORMAL, "capped_newton")], ids=str)
     def test_returns_a_consistent_report(self, family, capped, request):
         request.getfixturevalue(capped)
         sample = BUNDLED[family]()
@@ -573,8 +573,7 @@ class TestNonConvergence:
         assert report.loglik == observed_loglik(sample, report.argmax)
         assert report.gradient_norm == loglik_gradient_norm(sample, report.argmax)
 
-    @pytest.mark.parametrize("family, capped", [(Family.LAPLACE, "capped_simplex"),
-                                                (Family.NORMAL, "capped_newton")], ids=str)
+    @pytest.mark.parametrize("family, capped", [(Family.NORMAL, "capped_newton")], ids=str)
     def test_cli_says_so_and_exits_two(self, family, capped, request, capsys):
         request.getfixturevalue(capped)
         assert main(["fit", "--family", family.value, "--algorithm", "direct",
@@ -826,7 +825,7 @@ class TestNewtonProperties:
 
 
 class TestLazyOptimizeImport:
-    def test_scipy_optimize_loads_on_the_first_laplace_fit(self):
+    def test_no_direct_fit_imports_scipy_optimize(self):
         # a fresh interpreter: this test session has long imported scipy.optimize
         code = (
             "import sys, cemfit, cemfit.cli\n"
@@ -845,4 +844,4 @@ class TestLazyOptimizeImport:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "False", "False", "True"]
+        assert proc.stdout.split() == ["False", "False", "False", "False"]

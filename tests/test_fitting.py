@@ -45,6 +45,11 @@ class TestFitConfig:
         cfg = FitConfig(Family.NORMAL, Algorithm.EM, start=Normal(0.0, 1.0))
         assert cfg.start == Normal(0.0, 1.0)
 
+    @pytest.mark.parametrize("start", [(1.0, 2.0), [0.0, 1.0], 1.0, "1,2"], ids=repr)
+    def test_start_must_be_a_parameter_set(self, start):
+        with pytest.raises(ParameterError, match="start must be a parameter set"):
+            FitConfig(Family.NORMAL, Algorithm.EM, start=start)
+
     def test_domain_checks(self):
         with pytest.raises(ParameterError):
             FitConfig(Family.NORMAL, Algorithm.MCEM, k=0)

@@ -133,6 +133,12 @@ class TestWeightedMedian:
             weighted_median([1.0, 2.0], [0, 0])
         with pytest.raises(ParameterError):
             weighted_median([1.0, 2.0], [1])
+        # non-integral weights are refused, not truncated (to [1, 0] and [0, 0, 1])
+        for values, weights in [([1.0, 2.0], [1.5, 0.5]), ([1.0, 2.0, 3.0], [0.9, 0.9, 1.9]),
+                                ([1.0, 2.0], [1.0, math.nan]), ([1.0, 2.0], [1.0, math.inf])]:
+            with pytest.raises(ParameterError):
+                weighted_median(values, weights)
+        assert weighted_median([1.0, 2.0, 3.0], [1.0, 2.0, 0.0]) == 2.0
 
 
 class TestNormalStep:
