@@ -54,11 +54,13 @@ class CensoredSample:
         if w.shape != delta.shape:
             raise DataError(f"w and delta differ in length: {w.size} vs {delta.size}")
         if delta.size and not np.issubdtype(delta.dtype, np.integer):
-            if not np.all(delta == np.floor(delta)):
+            try:
+                integral = np.all(delta == np.floor(delta))
+            except TypeError:  # strings and other non-numeric entries
+                integral = False
+            if not integral:
                 raise DataError("delta must contain integers")
-            delta = delta.astype(np.int64)
-        else:
-            delta = delta.astype(np.int64)
+        delta = delta.astype(np.int64)
         observed, censored = delta == 1, delta == 0
         self._w = w
         self._delta = delta

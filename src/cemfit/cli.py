@@ -22,7 +22,7 @@ from .direct import fit_direct
 from .distributions import Family, make_params
 from .em import fit_em
 from .exceptions import DataError, NumericRangeError, ParameterError
-from .fitting import DEFAULT_SEED, Algorithm, FitConfig, FitTrace, TraceRow
+from .fitting import DEFAULT_SEED, Algorithm, FitConfig, FitTrace, TraceRow, _checked_seed
 from .mcem import fit_mcem
 from .streams import RandomStream
 
@@ -172,7 +172,7 @@ def _cmd_simulate(args) -> int:
     params = make_params(family, _parse_values(args.params))
     if args.n < 1:
         raise ParameterError("n must be at least 1")
-    stream = RandomStream(args.seed)
+    stream = RandomStream(_checked_seed(args.seed))
     draws = params.quantile(stream.uniforms(args.n))
     if args.type2_r is not None:
         if not 1 <= args.type2_r <= args.n:

@@ -44,6 +44,14 @@ def _integer(name: str, value) -> int:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _checked_seed(value) -> int:
+    """``value`` as a Python int if it is a root seed: an integer in [0, 2**64)."""
+    seed = _integer("seed", value)
+    if not 0 <= seed < 2**64:
+        raise ParameterError("seed must fit in an unsigned 64-bit integer")
+    return seed
+
+
 @dataclass
 class FitConfig:
     """Options shared by the fitting routines.
@@ -90,9 +98,7 @@ class FitConfig:
                 raise ParameterError("max_iter must be a positive integer")
         if not 0.0 < self.tol < math.inf:
             raise ParameterError("tol must be positive and finite")
-        self.seed = _integer("seed", self.seed)
-        if not 0 <= self.seed < 2**64:
-            raise ParameterError("seed must fit in an unsigned 64-bit integer")
+        self.seed = _checked_seed(self.seed)
 
     def resolved_max_iter(self) -> int:
         if self.max_iter is not None:

@@ -17,8 +17,9 @@ Draws are addressed by (seed, iteration, unit), so a fit is bit-reproducible
 regardless of evaluation order, and every iteration uses fresh draws.  A
 sweep draws a chunk of censored units at a time (``CHUNK_DRAWS`` draws per
 sampler call) and keeps per-unit running sums, so the normal and Rayleigh
-steps hold O(chunk) draws whatever n and K are; the Laplace step keeps every
-draw for the median.  The chunk size changes no draw and no trace byte.
+steps hold O(chunk) draws whatever n and K are; the Laplace step keeps its
+chunks in a list, since the median and the deviations about it need every
+draw.  The chunk size changes no draw and no trace byte.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .censoring import CensoredSample, ensure_fittable, observed_loglik
 from .distributions import Family, Laplace, Normal, Rayleigh, exact_sum
 from .em import NormalSuffStats, m_step
 from .exceptions import DegenerateDataError, ParameterError
-from .fitting import Algorithm, FitConfig, FitTrace, TraceRow, default_start
+from .fitting import Algorithm, FitConfig, FitTrace, TraceRow, _integer, default_start
 from .streams import RandomStream
 from .truncated import (
     sample_truncated_laplace,
@@ -51,50 +52,37 @@ __all__ = [
 ]
 
 
-def weighted_median(values, weights, singles=()) -> float:
-    """Median of the multiset where values[j] occurs weights[j] times, plus
-    every entry of the arrays in ``singles`` once.
+def weighted_median(values, k, singles=()) -> float:
+    """Median of the multiset where each entry of ``values`` occurs ``k`` times,
+    plus every entry of the arrays in ``singles`` once.
 
     For an even total count the median is the average of the two middle
-    order statistics.  The multiset is never materialized: the values of
-    weight above one are sorted, one comparison counts the weight-one values
-    above the largest of them, ``searchsorted`` plus ``bincount`` counts the
-    rest falling into each gap between them, and a target rank then lands
-    either on a sorted value or inside one gap, whose values alone are
-    partitioned.
+    order statistics.  The multiset is never materialized: ``values`` are
+    sorted, one comparison counts the singles above the largest of them,
+    ``searchsorted`` plus ``bincount`` counts the rest falling into each gap
+    between them, and a target rank then lands either on a sorted value or
+    inside one gap, whose singles alone are partitioned.
     """
-    v = np.asarray(values, dtype=float)
-    w = np.asarray(weights)
-    if v.shape != w.shape or v.ndim != 1:
-        raise ParameterError("values and weights must be one-dimensional and equal length")
-    if w.dtype.kind == "f" and not np.all(np.isfinite(w) & (np.trunc(w) == w)):
-        raise ParameterError("weights must be integers")
-    w = w.astype(np.int64, copy=False)
-    if v.size == 0 or np.any(w < 0):
-        raise ParameterError("weights must be nonnegative with a positive total")
-    heavy = w > 1
-    order = np.argsort(v[heavy])
-    h, hw = v[heavy][order], w[heavy][order]
-    light = [v[w == 1]] + [np.asarray(a, dtype=float).ravel() for a in singles]
-    # gap g holds the light values in (h[g-1], h[g]], as searchsorted places them;
-    # the values above h[-1] (the last gap) are counted by one comparison, and
-    # only the rest are searched
+    k = _integer("k", k)
+    h = np.asarray(values, dtype=float)
+    if h.ndim != 1 or h.size == 0 or k < 1:
+        raise ParameterError("values must be nonempty and one-dimensional, and k at least 1")
+    h = np.sort(h)
+    singles = [np.asarray(a, dtype=float).ravel() for a in singles]
+    # gap g holds the singles in (h[g-1], h[g]], as searchsorted places them;
+    # the singles above h[-1] (the last gap) are counted by one comparison,
+    # and only the rest are searched
     counts = np.zeros(h.size + 1, dtype=np.int64)
-    for part in light:
-        if h.size:
-            above = part > h[-1]
-            n_above = np.count_nonzero(above)
-            counts[-1] += n_above
-            if n_above == part.size:
-                continue
-            if n_above:
-                part = part[~above]
-        counts += np.bincount(np.searchsorted(h, part), minlength=h.size + 1)
+    for part in singles:
+        above = part > h[-1]
+        n_above = np.count_nonzero(above)
+        counts[-1] += n_above
+        if n_above < part.size:
+            counts += np.bincount(np.searchsorted(h, part[~above] if n_above else part),
+                                  minlength=h.size + 1)
     # cumulative counts over the segments gap 0, h[0], gap 1, h[1], ..., gap h.size
-    ends = np.cumsum(np.stack([counts, np.append(hw, 0)], axis=1).ravel()[:-1])
+    ends = np.cumsum(np.stack([counts, np.full(h.size + 1, k)], axis=1).ravel()[:-1])
     total = int(ends[-1])
-    if total == 0:
-        raise ParameterError("weights must be nonnegative with a positive total")
 
     def select(rank: int) -> float:
         seg = int(np.searchsorted(ends, rank))
@@ -107,7 +95,7 @@ def weighted_median(values, weights, singles=()) -> float:
                 p = p[p > h[g - 1]]
             return p[p <= h[g]] if g < h.size else p
 
-        inside = np.concatenate([in_gap(p) for p in light])
+        inside = np.concatenate([in_gap(p) for p in singles])
         j = rank - (int(ends[seg - 1]) if seg else 0) - 1
         return float(np.partition(inside, j)[j])
 
@@ -128,31 +116,27 @@ class MonteCarloAccumulator:
     ``v1``/``v2`` are the grand totals of the draws and their squares: the
     exactly rounded sums of each unit's row sums (``distributions.exact_sum``,
     equal to ``math.fsum``), so they do not depend on how the units were
-    chunked.  Asked to keep the draws (the Laplace median needs every one),
-    the accumulator instead holds the (units × K) chunks in ``blocks`` and
-    computes no totals: ``v1`` and ``v2`` are then nan.  Otherwise
-    ``blocks`` is empty and the accumulator holds one chunk at a time.
+    chunked.  The accumulator holds one chunk at a time; the Laplace step,
+    whose median needs every draw, keeps its chunks itself and sums their
+    deviations with :meth:`abs_deviation`.
     """
 
     v1: float
     v2: float
-    blocks: list[np.ndarray]
 
     @classmethod
-    def from_blocks(cls, blocks: Iterable[np.ndarray],
-                    keep: bool = False) -> "MonteCarloAccumulator":
-        if keep:
-            return cls(math.nan, math.nan, list(blocks))
+    def from_blocks(cls, blocks: Iterable[np.ndarray]) -> "MonteCarloAccumulator":
         s1, s2 = [], []
         for b in blocks:
             s1.append(b.sum(axis=1))
             s2.append((b * b).sum(axis=1))
-        return cls(_fsum_rows(s1), _fsum_rows(s2), [])
+        return cls(_fsum_rows(s1), _fsum_rows(s2))
 
-    def abs_deviation(self, center: float) -> float:
-        """Sum of |draw - center| over every kept draw."""
+    @classmethod
+    def abs_deviation(cls, blocks: list[np.ndarray], center: float) -> float:
+        """Sum of |draw - center| over every draw of the (units × K) ``blocks``."""
         sums = []
-        for b in self.blocks:
+        for b in blocks:
             d = b - center
             sums.append(np.abs(d, out=d).sum(axis=1))
         return _fsum_rows(sums)
@@ -204,11 +188,11 @@ def mcem_step_laplace(sample: CensoredSample, params: Laplace, k: int,
     scale update is the mean absolute deviation about the new location.
     """
     y = sample.uncensored
-    acc = MonteCarloAccumulator.from_blocks(
-        _draw_blocks(sample, k, stream, sample_truncated_laplace, params.mu, params.sigma),
-        keep=True)
-    loc = weighted_median(y, np.full(y.size, k, dtype=np.int64), acc.blocks)
-    scale = (exact_sum(np.abs(y - loc)) + acc.abs_deviation(loc) / k) / sample.n
+    blocks = list(_draw_blocks(sample, k, stream, sample_truncated_laplace,
+                               params.mu, params.sigma))
+    loc = weighted_median(y, k, blocks)
+    dev = MonteCarloAccumulator.abs_deviation(blocks, loc)
+    scale = (exact_sum(np.abs(y - loc)) + dev / k) / sample.n
     if not (scale > 0.0):
         raise DegenerateDataError(f"update produced nonpositive scale {scale:.3e}")
     return Laplace(loc, scale)

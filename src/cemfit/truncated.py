@@ -94,7 +94,10 @@ def sample_truncated_normal(mu: float, sigma: float, lower, u):
         return mu - sigma * np.asarray(norm_ppf(tail[rows] * (1.0 - u[rows])))
 
     def interior(rows):
-        return mu + sigma * np.asarray(norm_ppf(norm_cdf(r[rows]) + u[rows] * tail[rows]))
+        p = norm_cdf(r[rows]) + u[rows] * tail[rows]
+        # at u = 1 - 2**-53 the sum can round to 1, outside norm_ppf's domain
+        np.minimum(p, 1.0 - 2.0**-53, out=p)
+        return mu + sigma * np.asarray(norm_ppf(p))
 
     return _strictly_above(_by_rows(r >= 0.0, upper, interior), lower, shape)
 

@@ -59,6 +59,12 @@ class TestConstruction:
         with pytest.raises(DataError):
             CensoredSample([[1.0], [2.0]], [1, 0])
 
+    def test_non_numeric_delta_rejected(self):
+        with pytest.raises(DataError):
+            CensoredSample([1.0, 2.0], ["1", "0"])
+        with pytest.raises(DataError):
+            CensoredSample([1.0, 2.0], np.array(["1", "0"], dtype=object))
+
     def test_fractional_delta_rejected(self):
         with pytest.raises(DataError):
             CensoredSample([1.0], [0.5])

@@ -276,6 +276,15 @@ class TestSimulate:
         _, other, _ = run(capsys, *argv[:-1], "12")
         assert other != first
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exits_one(self, capsys, seed):
+        # the seed is refused as fit refuses it, not wrapped modulo 2**64
+        code, out, err = run(capsys, "simulate", "--family", "normal", "--params", "0,1",
+                             "--n", "5", "--censor-time", "1.0", f"--seed={seed}")
+        assert code == 1
+        assert out == ""
+        assert "seed must fit in an unsigned 64-bit integer" in err
+
     def test_invalid_params_exit_one(self, capsys):
         code, _, err = run(capsys, "simulate", "--family", "rayleigh", "--params", "-1",
                            "--n", "10", "--type2-r", "5")

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cemfit.censoring import CensoredSample
 from cemfit.datasets import example_laplace, example_normal, example_rayleigh
@@ -49,96 +51,90 @@ class TestAccumulator:
         rng = np.random.default_rng(3)
         blocks = [rng.normal(0.0, 1.0, (4, 9)), rng.normal(2.0, 3.0, (1, 9))]
         kept = [b.copy() for b in blocks]
-        acc = mcem.MonteCarloAccumulator.from_blocks(blocks, keep=True)
-        got = acc.abs_deviation(0.25)
+        got = mcem.MonteCarloAccumulator.abs_deviation(blocks, 0.25)
         # the exactly rounded total of the per-unit row sums
         assert got == math.fsum(np.abs(np.concatenate(kept) - 0.25).sum(axis=1))
         for b, k in zip(blocks, kept):
             np.testing.assert_array_equal(b, k)
 
-    def test_kept_draws_carry_no_totals(self):
+    def test_totals_of_the_draws_and_their_squares(self):
         blocks = [np.ones((2, 3)), np.zeros((1, 3))]
-        acc = mcem.MonteCarloAccumulator.from_blocks(iter(blocks), keep=True)
-        assert all(a is b for a, b in zip(acc.blocks, blocks)) and len(acc.blocks) == 2
-        assert math.isnan(acc.v1) and math.isnan(acc.v2)
         acc = mcem.MonteCarloAccumulator.from_blocks(iter(blocks))
-        assert (acc.v1, acc.v2, acc.blocks) == (6.0, 6.0, [])
+        assert (acc.v1, acc.v2) == (6.0, 6.0)
+
+
+def materialized_median(values, k, singles=()):
+    parts = [np.repeat(np.asarray(values, dtype=float), k)]
+    return float(np.median(np.concatenate(parts + [np.ravel(s) for s in singles])))
 
 
 class TestWeightedMedian:
     def test_matches_brute_force_on_random_multisets(self):
         rng = np.random.default_rng(99)
         for _ in range(300):
-            size = int(rng.integers(1, 12))
-            values = np.round(rng.normal(0, 10, size=size), 3)
-            weights = rng.integers(0, 100, size=size)
-            if weights.sum() == 0:
-                weights[rng.integers(size)] = 1
-            expected = float(np.median(np.repeat(values, weights)))
-            assert weighted_median(values, weights) == expected
+            values = np.round(rng.normal(0, 10, size=int(rng.integers(1, 12))), 3)
+            k = int(rng.integers(1, 100))
+            assert weighted_median(values, k) == materialized_median(values, k)
 
     def test_singles_count_once_on_random_multisets(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
-            size = int(rng.integers(1, 12))
-            values = np.round(rng.normal(0, 10, size=size), 1)
-            weights = rng.integers(0, 5, size=size)
+            values = np.round(rng.normal(0, 10, size=int(rng.integers(1, 12))), 1)
+            k = int(rng.integers(1, 5))
             singles = [np.round(rng.normal(0, 10, size=(int(rng.integers(1, 3)),
                                                         int(rng.integers(0, 9)))), 1)
                        for _ in range(int(rng.integers(1, 4)))]
-            multiset = np.concatenate([np.repeat(values, weights)] + [s.ravel() for s in singles])
-            if multiset.size == 0:
-                continue
-            assert weighted_median(values, weights, singles) == float(np.median(multiset))
+            assert weighted_median(values, k, singles) == materialized_median(values, k, singles)
 
     def test_even_total_averages_the_middle_pair(self):
-        assert weighted_median([1.0, 2.0, 10.0], [1, 1, 2]) == 6.0
-        assert weighted_median([3.0, 7.0], [1, 1]) == 5.0
+        assert weighted_median([1.0, 10.0], 1, [np.array([2.0, 10.0])]) == 6.0
+        assert weighted_median([3.0, 7.0], 1) == 5.0
+        assert weighted_median([3.0, 7.0], 4) == 5.0
 
     def test_odd_total_returns_exact_element(self):
-        assert weighted_median([5.0, 1.0, 3.0], [1, 1, 1]) == 3.0
-        assert weighted_median([2.0, 9.0], [3, 2]) == 2.0
+        assert weighted_median([5.0, 1.0, 3.0], 1) == 3.0
+        assert weighted_median([2.0, 9.0], 3, [np.array([[9.0]])]) == 9.0
+        assert weighted_median([2.0, 9.0], 3, [np.array([1.0])]) == 2.0
 
     def test_single_point_masses(self):
-        assert weighted_median([4.5], [7]) == 4.5
-        assert weighted_median([4.5, 8.0], [7, 0]) == 4.5
+        assert weighted_median([4.5], 7) == 4.5
+        assert weighted_median([4.5], 1) == 4.5
+        assert weighted_median([4.5], 7, [np.array([8.0, 9.0])]) == 4.5
 
-    @pytest.mark.parametrize("where", ["above", "some-equal", "below", "no-heavy"])
+    @pytest.mark.parametrize("where", ["above", "some-equal", "below"])
+    @pytest.mark.parametrize("k", [1, 2, 4])
     @pytest.mark.parametrize("extra", [0, 1], ids=["even", "odd"])
-    def test_light_values_against_the_largest_heavy_value(self, where, extra):
-        # the weight-one values above the largest heavy value are counted by one
-        # comparison; values equal to it belong to the gap before it
+    def test_singles_against_the_largest_value(self, where, k, extra):
+        # the singles above the largest value are counted by one comparison;
+        # singles equal to it belong to the gap before it
         rng = np.random.default_rng(5)
         values = np.array([-1.0, 0.5, 2.0])
-        weights = np.array([4, 2, 4]) if where != "no-heavy" else np.array([1, 0, 1])
         draws = {"above": 2.0 + rng.random((3, 7)),
                  "some-equal": np.r_[np.full(5, 2.0), 2.0 + rng.random(16)].reshape(3, 7),
-                 "below": 2.0 - 4.0 * rng.random((3, 7)),
-                 "no-heavy": rng.normal(0.0, 2.0, (3, 7))}[where]
-        singles = [draws[:2], draws[2:, :4 + extra]]
-        multiset = np.concatenate([np.repeat(values, weights)] + [p.ravel() for p in singles])
-        assert multiset.size % 2 == extra
-        assert weighted_median(values, weights, singles) == float(np.median(multiset))
-        # with the same draws as weight-one values
-        light = np.concatenate([values, draws.ravel()])
-        w = np.concatenate([weights, np.ones(draws.size, np.int64)])
-        assert weighted_median(light, w) == float(np.median(np.repeat(light, w)))
+                 "below": 2.0 - 4.0 * rng.random((3, 7))}[where]
+        singles = [draws[:2], draws[2:, :4 + (extra + k) % 2]]
+        assert (3 * k + sum(p.size for p in singles)) % 2 == extra
+        assert weighted_median(values, k, singles) == materialized_median(values, k, singles)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.integers(-20, 20), min_size=1, max_size=12),
+           k=st.integers(1, 50),
+           singles=st.lists(st.lists(st.integers(-25, 25), max_size=30), max_size=4))
+    def test_property_matches_the_materialized_median(self, values, k, singles):
+        # small integers (halved) make ties between values and singles common
+        values = np.array(values) / 2.0
+        singles = [np.array(s, dtype=float).reshape(-1, 1) / 2.0 for s in singles]
+        assert weighted_median(values, k, singles) == materialized_median(values, k, singles)
 
     def test_domain_errors(self):
-        with pytest.raises(ParameterError):
-            weighted_median([], [])
-        with pytest.raises(ParameterError):
-            weighted_median([1.0], [-1])
-        with pytest.raises(ParameterError):
-            weighted_median([1.0, 2.0], [0, 0])
-        with pytest.raises(ParameterError):
-            weighted_median([1.0, 2.0], [1])
-        # non-integral weights are refused, not truncated (to [1, 0] and [0, 0, 1])
-        for values, weights in [([1.0, 2.0], [1.5, 0.5]), ([1.0, 2.0, 3.0], [0.9, 0.9, 1.9]),
-                                ([1.0, 2.0], [1.0, math.nan]), ([1.0, 2.0], [1.0, math.inf])]:
+        for values, k in [([], 1), ([[1.0, 2.0]], 1), ([1.0, 2.0], 0), ([1.0], -3)]:
             with pytest.raises(ParameterError):
-                weighted_median(values, weights)
-        assert weighted_median([1.0, 2.0, 3.0], [1.0, 2.0, 0.0]) == 2.0
+                weighted_median(values, k)
+        # a non-integer k is refused, not truncated
+        for k in (1.5, 2.0, math.nan):
+            with pytest.raises(ParameterError):
+                weighted_median([1.0, 2.0], k)
+        assert weighted_median([1.0, 2.0, 3.0], np.int64(2)) == 2.0
 
 
 class TestNormalStep:

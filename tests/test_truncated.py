@@ -210,6 +210,16 @@ class TestSupportAndGuards:
         with pytest.raises(NumericRangeError):
             sample_truncated_normal(0.0, 1.0, 40.0, 0.5)
 
+    def test_largest_uniform_below_the_location(self):
+        # norm_cdf(r) + u * tail rounds to 1 at this bound when u = 1 - 2**-53
+        lower, u = -1.4052449648204721, 1.0 - 2.0**-53
+        x = sample_truncated_normal(0.0, 1.0, lower, u)
+        assert math.isfinite(x) and x > lower
+        xs = sample_truncated_normal(0.0, 1.0, np.array([[lower], [0.5]]),
+                                     np.array([[0.5, u], [0.5, u]]))
+        assert np.all(np.isfinite(xs)) and np.all(xs > np.array([[lower], [0.5]]))
+        assert xs[0, 1] == x
+
     def test_moderate_tail_does_not_raise(self):
         x = sample_truncated_normal(0.0, 1.0, 7.0, 0.5)
         assert x > 7.0
