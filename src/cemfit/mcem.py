@@ -17,9 +17,11 @@ Draws are addressed by (seed, iteration, unit), so a fit is bit-reproducible
 regardless of evaluation order, and every iteration uses fresh draws.  A
 sweep draws a chunk of censored units at a time (``CHUNK_DRAWS`` draws per
 sampler call) and keeps per-unit running sums, so the normal and Rayleigh
-steps hold O(chunk) draws whatever n and K are; the Laplace step keeps its
-chunks in a list, since the median and the deviations about it need every
-draw.  The chunk size changes no draw and no trace byte.
+steps hold O(chunk) draws whatever n and K are.  The Laplace step holds the
+draws of only the units whose bound lies below the exact value U that already
+covers both median ranks (see :func:`mcem_step_laplace`); under Type-II and
+fixed-time censoring with more than half the units exact that is none.  The
+chunk size changes no draw and no trace byte.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -52,27 +55,34 @@ __all__ = [
 ]
 
 
-def weighted_median(values, k, singles=()) -> float:
+def weighted_median(values, k, singles=(), beyond=0) -> float:
     """Median of the multiset where each entry of ``values`` occurs ``k`` times,
-    plus every entry of the arrays in ``singles`` once.
+    plus every entry of the arrays in ``singles`` once, plus ``beyond``
+    members that the caller knows lie above both median ranks.
 
     For an even total count the median is the average of the two middle
     order statistics.  The multiset is never materialized: ``values`` are
     sorted, one comparison counts the singles above the largest of them,
     ``searchsorted`` plus ``bincount`` counts the rest falling into each gap
     between them, and a target rank then lands either on a sorted value or
-    inside one gap, whose singles alone are partitioned.
+    inside one gap, whose singles alone are partitioned.  The ``beyond``
+    members are only counted, at the top of the order; a median rank that
+    falls among them raises, since their values were never given.
     """
     k = _integer("k", k)
+    beyond = _integer("beyond", beyond)
     h = np.asarray(values, dtype=float)
     if h.ndim != 1 or h.size == 0 or k < 1:
         raise ParameterError("values must be nonempty and one-dimensional, and k at least 1")
+    if beyond < 0:
+        raise ParameterError(f"beyond must be nonnegative, got {beyond}")
     h = np.sort(h)
     singles = [np.asarray(a, dtype=float).ravel() for a in singles]
     # gap g holds the singles in (h[g-1], h[g]], as searchsorted places them;
     # the singles above h[-1] (the last gap) are counted by one comparison,
     # and only the rest are searched
     counts = np.zeros(h.size + 1, dtype=np.int64)
+    counts[-1] = beyond
     for part in singles:
         above = part > h[-1]
         n_above = np.count_nonzero(above)
@@ -85,6 +95,9 @@ def weighted_median(values, k, singles=()) -> float:
     total = int(ends[-1])
 
     def select(rank: int) -> float:
+        if rank > total - beyond:
+            raise ParameterError(f"median rank {rank} falls among the {beyond} members "
+                                 "counted beyond the given values")
         seg = int(np.searchsorted(ends, rank))
         if seg % 2:
             return float(h[seg // 2])
@@ -116,9 +129,8 @@ class MonteCarloAccumulator:
     ``v1``/``v2`` are the grand totals of the draws and their squares: the
     exactly rounded sums of each unit's row sums (``distributions.exact_sum``,
     equal to ``math.fsum``), so they do not depend on how the units were
-    chunked.  The accumulator holds one chunk at a time; the Laplace step,
-    whose median needs every draw, keeps its chunks itself and sums their
-    deviations with :meth:`abs_deviation`.
+    chunked or in which order they come.  The accumulator holds one chunk at
+    a time; the Laplace step sums its deviations with :meth:`abs_deviation`.
     """
 
     v1: float
@@ -133,7 +145,7 @@ class MonteCarloAccumulator:
         return cls(_fsum_rows(s1), _fsum_rows(s2))
 
     @classmethod
-    def abs_deviation(cls, blocks: list[np.ndarray], center: float) -> float:
+    def abs_deviation(cls, blocks: Iterable[np.ndarray], center: float) -> float:
         """Sum of |draw - center| over every draw of the (units × K) ``blocks``."""
         sums = []
         for b in blocks:
@@ -147,18 +159,20 @@ class MonteCarloAccumulator:
 CHUNK_DRAWS = 8192
 
 
-def _draw_blocks(sample, k: int, stream: RandomStream, sampler,
-                 *params) -> Iterator[np.ndarray]:
+def _draw_blocks(sample, k: int, stream: RandomStream, sampler, *params,
+                 rows=slice(None)) -> Iterator[np.ndarray]:
     """Chunks of draws ``sampler(*params, bounds, u)``, one (units × K) block per call.
 
-    Row r of a chunk holds the K draws of one censored unit (original sample
-    order), from that unit's own substream of ``stream``, so the draws do not
-    depend on the chunk size.  The bounds go in positionally as a (units, 1)
-    column, and the steps pass this module's ``sample_truncated_*`` by name,
-    so a wrapper installed on those names (``perfbench/tracing.py``) sees
-    every draw and its bound.
+    ``rows`` selects censored units (an index or mask into ``censor_times``;
+    all of them by default).  Row r of a chunk holds the K draws of one
+    selected unit (original sample order), from that unit's own substream of
+    ``stream``, so the draws depend neither on the chunk size nor on which
+    other units are drawn with it.  The bounds go in positionally as a
+    (units, 1) column, and the steps pass this module's ``sample_truncated_*``
+    by name, so a wrapper installed on those names (``perfbench/tracing.py``)
+    sees every draw and its bound.
     """
-    idx, bounds = sample.censored_indices, sample.censor_times
+    idx, bounds = sample.censored_indices[rows], sample.censor_times[rows]
     per = max(1, CHUNK_DRAWS // k)
     for a in range(0, idx.size, per):
         u = stream.unit_uniforms(idx[a:a + per], k)
@@ -186,12 +200,27 @@ def mcem_step_laplace(sample: CensoredSample, params: Laplace, k: int,
     The location update is the exact median of the augmented multiset
     (observed values with multiplicity K, draws with multiplicity 1); the
     scale update is the mean absolute deviation about the new location.
+
+    Only draws at or below a median rank can move the median.  Let r =
+    Kn//2 + 1 (the larger median rank for odd and even Kn), j = ceil(r/K),
+    and U the j-th smallest observed value (U = inf when j exceeds their
+    number).  The observed values up to U count Kj >= r members, so both
+    ranks lie at or below U.  Every draw lies strictly above its bound, so a
+    unit bounded at U or above only adds K members above both ranks: the
+    median just counts them, and their draws are made after it and streamed
+    into the deviation sum.  Only the units bounded below U are held.  Draws
+    are addressed by unit and the deviation total is exactly rounded, so
+    this split changes no result.
     """
-    y = sample.uncensored
-    blocks = list(_draw_blocks(sample, k, stream, sample_truncated_laplace,
-                               params.mu, params.sigma))
-    loc = weighted_median(y, k, blocks)
-    dev = MonteCarloAccumulator.abs_deviation(blocks, loc)
+    y, bounds = sample.uncensored, sample.censor_times
+    j = -(-(k * sample.n // 2 + 1) // k)
+    near = bounds < (np.partition(y, j - 1)[j - 1] if j <= y.size else np.inf)
+    held = list(_draw_blocks(sample, k, stream, sample_truncated_laplace,
+                             params.mu, params.sigma, rows=near))
+    loc = weighted_median(y, k, held, beyond=k * (bounds.size - int(np.count_nonzero(near))))
+    far = _draw_blocks(sample, k, stream, sample_truncated_laplace,
+                       params.mu, params.sigma, rows=~near)
+    dev = MonteCarloAccumulator.abs_deviation(chain(held, far), loc)
     scale = (exact_sum(np.abs(y - loc)) + dev / k) / sample.n
     if not (scale > 0.0):
         raise DegenerateDataError(f"update produced nonpositive scale {scale:.3e}")
@@ -200,10 +229,11 @@ def mcem_step_laplace(sample: CensoredSample, params: Laplace, k: int,
 
 def mcem_step_rayleigh(sample: CensoredSample, params: Rayleigh, k: int,
                        stream: RandomStream) -> Rayleigh:
-    """One Monte Carlo EM sweep for the Rayleigh family."""
-    acc = MonteCarloAccumulator.from_blocks(
-        _draw_blocks(sample, k, stream, sample_truncated_rayleigh, params.beta))
-    b2 = (sample.sums[1] + acc.v2 / k) / (2.0 * sample.n)
+    """One Monte Carlo EM sweep for the Rayleigh family: only the squares of
+    the draws are summed."""
+    v2 = _fsum_rows([(b * b).sum(axis=1) for b in
+                     _draw_blocks(sample, k, stream, sample_truncated_rayleigh, params.beta)])
+    b2 = (sample.sums[1] + v2 / k) / (2.0 * sample.n)
     if not (b2 > 0.0):
         raise DegenerateDataError(f"update produced nonpositive squared scale {b2:.3e}")
     return Rayleigh(math.sqrt(b2))

@@ -37,6 +37,15 @@ class TestFitCommand:
         assert "final: mu=1.7422  sigma=0.0791" in out
         assert "converged: yes" in out
 
+    def test_trace_into_a_missing_directory_fails_before_fitting(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "t.csv"
+        code, out, err = run(capsys, "fit", "--family", "laplace", "--algorithm", "mcem",
+                             "--data", LAPLACE_CSV, "--trace", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("cemfit: error: --trace")
+        assert not path.parent.exists()
+
     def test_trace_file_round_trips_exactly(self, capsys, tmp_path):
         path = tmp_path / "trace.csv"
         code, _, _ = run(capsys, "fit", "--family", "normal", "--data", NORMAL_CSV,

@@ -6,12 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cemfit.censoring import CensoredSample
+from cemfit.censoring import CensoredSample, from_type2
 from cemfit.datasets import example_laplace, example_normal, example_rayleigh
-from cemfit.distributions import Family, Laplace, Normal, Rayleigh
+from cemfit.distributions import Family, Laplace, Normal, Rayleigh, exact_sum
 from cemfit.em import e_step
 from cemfit.exceptions import DataError, ParameterError
 from cemfit.fitting import Algorithm, FitConfig
@@ -126,6 +126,38 @@ class TestWeightedMedian:
         singles = [np.array(s, dtype=float).reshape(-1, 1) / 2.0 for s in singles]
         assert weighted_median(values, k, singles) == materialized_median(values, k, singles)
 
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.integers(-20, 20), min_size=1, max_size=12),
+           k=st.integers(1, 50),
+           singles=st.lists(st.integers(-25, 25), max_size=30),
+           beyond=st.integers(0, 300))
+    def test_beyond_counts_members_above_the_median(self, values, k, singles, beyond):
+        # materialized above every other member, the beyond members leave the
+        # median where it is unless the larger median rank falls among them
+        values = np.array(values) / 2.0
+        singles = [np.array(singles, dtype=float) / 2.0]
+        total = values.size * k + singles[0].size + beyond
+        if total // 2 + 1 <= total - beyond:
+            expected = materialized_median(values, k, singles + [np.full(beyond, 99.0)])
+            assert weighted_median(values, k, singles, beyond=beyond) == expected
+        else:
+            with pytest.raises(ParameterError, match="beyond"):
+                weighted_median(values, k, singles, beyond=beyond)
+
+    def test_a_median_rank_among_the_beyond_members_raises(self):
+        assert weighted_median([1.0], 2, beyond=1) == 1.0
+        assert weighted_median([1.0, 3.0], 1, [np.array([2.0])], beyond=2) == 3.0
+        for values, k, singles, beyond in [([1.0], 1, [], 1), ([1.0], 1, [], 5),
+                                           ([1.0, 3.0], 1, [np.array([2.0])], 3)]:
+            with pytest.raises(ParameterError, match="beyond"):
+                weighted_median(values, k, singles, beyond=beyond)
+
+    def test_beyond_must_be_a_nonnegative_integer(self):
+        for beyond in (-1, 1.5, 2.0, math.nan):
+            with pytest.raises(ParameterError, match="beyond"):
+                weighted_median([1.0, 2.0], 3, beyond=beyond)
+        assert weighted_median([1.0, 2.0], 3, beyond=np.int64(1)) == 2.0
+
     def test_domain_errors(self):
         for values, k in [([], 1), ([[1.0, 2.0]], 1), ([1.0, 2.0], 0), ([1.0], -3)]:
             with pytest.raises(ParameterError):
@@ -174,7 +206,38 @@ class TestNormalStep:
         assert new.sigma2 == pytest.approx(w.var(), rel=1e-13)
 
 
+def laplace_step_holding_every_draw(sample, params, k, stream):
+    """The Laplace MCEM step with every unit's draws held for the median."""
+    y = sample.uncensored
+    blocks = list(mcem._draw_blocks(sample, k, stream, sample_truncated_laplace,
+                                    params.mu, params.sigma))
+    loc = weighted_median(y, k, blocks)
+    dev = mcem.MonteCarloAccumulator.abs_deviation(blocks, loc)
+    return Laplace(loc, (exact_sum(np.abs(y - loc)) + dev / k) / sample.n)
+
+
 class TestLaplaceStep:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), exact=st.lists(st.integers(-8, 8), min_size=1, max_size=16),
+           bounds=st.lists(st.integers(-10, 10), max_size=16), k=st.integers(1, 60),
+           seed=st.integers(0, 2**32))
+    def test_step_equals_holding_every_draw(self, data, exact, bounds, k, seed):
+        # halved small integers put bounds below, at and above the exact value
+        # U that covers both median ranks, often tied with exact values; the
+        # permutation scatters the censored units through the sample, and
+        # K * n takes both parities
+        assume(bounds or len(set(exact)) > 1)
+        w = np.r_[exact, bounds] / 2.0
+        delta = np.r_[np.ones(len(exact), int), np.zeros(len(bounds), int)]
+        order = np.array(data.draw(st.permutations(range(w.size))))
+        sample = CensoredSample(w[order], delta[order])
+        params = Laplace(data.draw(st.integers(-6, 6)) / 2.0,
+                         data.draw(st.sampled_from([0.25, 1.0, 3.0])))
+        got = mcem_step_laplace(sample, params, k, RandomStream(seed).substream(1))
+        expected = laplace_step_holding_every_draw(sample, params, k,
+                                                   RandomStream(seed).substream(1))
+        assert (got.mu, got.sigma) == (expected.mu, expected.sigma)
+
     def test_bundled_data_location_is_pinned_by_order_statistics(self):
         # every conditional draw exceeds the censoring time, which exceeds
         # every observed value, so the augmented median is always the
@@ -369,6 +432,19 @@ class TestChunkedEStep:
         tracemalloc.start()
         try:
             mcem_step_rayleigh(sample, Rayleigh(1.5), 10_000, RandomStream(1).substream(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    def test_laplace_step_holds_no_draw_above_the_median(self):
+        # Type-II: 400 exact values and 100 units censored at the largest, so
+        # every bound lies above the exact value that covers both median ranks;
+        # 100 units x K=50_000 = 5e6 draws, 40 MB if every draw were held
+        sample = from_type2(np.linspace(-2.0, 2.0, 400), 500)
+        tracemalloc.start()
+        try:
+            mcem_step_laplace(sample, Laplace(0.0, 1.0), 50_000, RandomStream(1).substream(1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
