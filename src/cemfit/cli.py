@@ -111,9 +111,12 @@ def _cmd_fit(args) -> int:
     family = Family(args.family)
     algorithm = (Algorithm(args.algorithm) if args.algorithm
                  else (Algorithm.EM if family is Family.NORMAL else Algorithm.MCEM))
-    if args.trace and not os.path.isdir(os.path.dirname(args.trace) or "."):
+    if args.trace:
         # refused before the fit, which may take minutes, and without creating the file
-        raise ParameterError(f"--trace {args.trace!r}: its directory does not exist")
+        if os.path.isdir(args.trace):
+            raise ParameterError(f"--trace {args.trace!r} is a directory")
+        if not os.path.isdir(os.path.dirname(args.trace) or "."):
+            raise ParameterError(f"--trace {args.trace!r}: its directory does not exist")
     sample = read_censored_csv(args.data)
     ensure_fittable(sample, family)
     start = make_params(family, _parse_values(args.start)) if args.start else None

@@ -14,7 +14,11 @@ add their terms with.  Methods accept scalars or numpy arrays and stay
 accurate far into the tails: the normal cdf/survival go through the
 complementary error function, the quantile and log-survival are SciPy's
 ``ndtri`` and ``log_ndtr``, and the Mills ratio uses the scaled
-complementary error function so it never underflows.
+complementary error function so it never underflows.  Only these five
+normal helpers need ``scipy.special``, and each imports its ufunc in its
+own body: loading SciPy is most of the package's import time, so it is paid
+on a normal helper's first call, and a process that fits only Laplace or
+Rayleigh samples never loads SciPy.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import erfc, erfcx, log_ndtr, ndtri
 
 from .exceptions import ParameterError
 
@@ -121,12 +124,14 @@ def _open_unit(u) -> np.ndarray:
 
 def norm_cdf(z):
     """Standard normal cdf via the complementary error function."""
+    from scipy.special import erfc
     z = np.asarray(z, dtype=float)
     return _maybe_float(0.5 * erfc(-z / _SQRT2))
 
 
 def norm_sf(z):
     """Standard normal survival function, accurate in the upper tail."""
+    from scipy.special import erfc
     z = np.asarray(z, dtype=float)
     return _maybe_float(0.5 * erfc(z / _SQRT2))
 
@@ -137,6 +142,7 @@ def norm_logsf(z):
     Finite for arbitrarily large ``z``, and accurate for negative ``z`` as
     well, where log(0.5 * erfc(z / sqrt 2)) of a value near 1 loses digits.
     """
+    from scipy.special import log_ndtr
     z = np.asarray(z, dtype=float)
     return _maybe_float(log_ndtr(-z))
 
@@ -150,6 +156,7 @@ def mills_ratio(a):
     branch divides pdf by survival: erfcx overflows there, so the scaled
     form alone would return 0 instead of ~1e-314 at a = -38.
     """
+    from scipy.special import erfc, erfcx
     a = np.asarray(a, dtype=float)
     out = np.empty_like(a)
     pos = a >= 0.0
@@ -163,6 +170,7 @@ def mills_ratio(a):
 
 def norm_ppf(u):
     """Inverse standard normal cdf for u in the open interval (0, 1)."""
+    from scipy.special import ndtri
     u = _open_unit(u)
     upper = u > 0.5
     # 1 - u is exact for u >= 0.5, so the two halves are symmetric bitwise.

@@ -46,6 +46,15 @@ class TestFitCommand:
         assert err.startswith("cemfit: error: --trace")
         assert not path.parent.exists()
 
+    def test_trace_naming_a_directory_fails_before_fitting(self, capsys, tmp_path):
+        code, out, err = run(capsys, "fit", "--family", "laplace", "--algorithm", "mcem",
+                             "--k", "10", "--max-iter", "2", "--data", LAPLACE_CSV,
+                             "--trace", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("cemfit: error: --trace")
+        assert list(tmp_path.iterdir()) == []
+
     def test_trace_file_round_trips_exactly(self, capsys, tmp_path):
         path = tmp_path / "trace.csv"
         code, _, _ = run(capsys, "fit", "--family", "normal", "--data", NORMAL_CSV,
@@ -171,6 +180,41 @@ class TestModuleEntryPoint:
             assert "cemfit: error:" in proc.stderr
         else:
             assert f"converged: {'yes' if code == 0 else 'no'}" in proc.stdout
+
+
+class TestLazySpecialImport:
+    def test_only_a_normal_fit_imports_scipy(self, tmp_path):
+        # a fresh interpreter: this test session has long imported scipy.special
+        values = tmp_path / "values.txt"
+        values.write_text("1.5\n2.25\n3.0\n")
+        code = (
+            "import contextlib, io, sys, cemfit, cemfit.cli\n"
+            "from cemfit.datasets import dataset_path\n"
+            "out = sys.argv[2]\n"
+            "def loaded(*argv):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cemfit.cli.main(list(argv)) in (0, 2), argv\n"
+            "    return 'scipy' in sys.modules\n"
+            "def fit(family, algorithm):\n"
+            "    return loaded('fit', '--family', family, '--algorithm', algorithm,\n"
+            "                  '--data', str(dataset_path(family + '_type2')),\n"
+            "                  '--k', '10', '--max-iter', '2')\n"
+            "seen = ['scipy' in sys.modules]\n"
+            "seen += [fit(f, a) for f in ('laplace', 'rayleigh') for a in ('direct', 'mcem')]\n"
+            "seen.append(loaded('convert-type2', '--values', sys.argv[1], '--total-n', '5',\n"
+            "                   '--output', out + '/type2.csv'))\n"
+            "seen.append(loaded('simulate', '--family', 'laplace', '--params', '0,1',\n"
+            "                   '--n', '50', '--censor-time', '1.5', '--output', out + '/sim.csv'))\n"
+            "fit('normal', 'em')\n"
+            "print(*seen, 'scipy.special' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", code, str(values), str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"] * 7 + ["True"]
 
 
 class TestConvertType2:
