@@ -9,8 +9,9 @@ Supports the normal, Laplace, and Rayleigh families with three routes:
   location-profile slopes for Laplace), used as an independent cross-check of
   the EM fixed points.
 
-``fit`` dispatches on the configured route.  On every route a fit that does
-not converge is returned with ``converged`` False, never raised.  The
+``fit`` dispatches on the configured route, and every route returns a
+``FitTrace``.  A fit that does not converge is returned with ``converged``
+False, never raised.  The
 package namespace holds what a user calls: the fits, sample I/O, the
 families, the configuration and trace types, and the exceptions.  The EM
 and MCEM steps, the truncated samplers and the random streams stay
@@ -26,7 +27,7 @@ from .censoring import (
     validate,
     write_censored_csv,
 )
-from .direct import OptimizerReport, fit_direct
+from .direct import fit_direct
 from .distributions import Family, Laplace, Normal, Rayleigh, make_params
 from .em import fit_em
 from .exceptions import (
@@ -42,12 +43,9 @@ from .mcem import fit_mcem
 __version__ = "0.1.0"
 
 
-def fit(sample: CensoredSample, config: FitConfig):
-    """Dispatch to the configured algorithm.
-
-    Returns a :class:`FitTrace` for EM and Monte Carlo EM, an
-    :class:`OptimizerReport` for direct maximization.
-    """
+def fit(sample: CensoredSample, config: FitConfig) -> FitTrace:
+    """Dispatch to the configured algorithm; every route returns a
+    :class:`FitTrace`, a direct fit one with a single row."""
     if config.algorithm is Algorithm.EM:
         return fit_em(sample, config)
     if config.algorithm is Algorithm.MCEM:
@@ -67,7 +65,6 @@ __all__ = [
     "Laplace",
     "Normal",
     "NumericRangeError",
-    "OptimizerReport",
     "ParameterError",
     "Rayleigh",
     "TailUnderflowError",

@@ -23,7 +23,7 @@ from .direct import fit_direct
 from .distributions import Family, make_params
 from .em import fit_em
 from .exceptions import DataError, NumericRangeError, ParameterError
-from .fitting import DEFAULT_SEED, Algorithm, FitConfig, FitTrace, TraceRow, _checked_seed
+from .fitting import DEFAULT_SEED, Algorithm, FitConfig, FitTrace, _checked_seed
 from .mcem import fit_mcem
 from .streams import RandomStream
 
@@ -129,19 +129,12 @@ def _cmd_fit(args) -> int:
     elif algorithm is Algorithm.EM:
         print(f"max_iter: {config.resolved_max_iter()}  tol: {config.tol:g}")
 
+    # looked up here, at call time, so a wrapper installed on this module's names is called
+    fitter = {Algorithm.EM: fit_em, Algorithm.MCEM: fit_mcem, Algorithm.DIRECT: fit_direct}
     t0 = time.perf_counter()
-    if algorithm is Algorithm.DIRECT:
-        opt = fit_direct(sample, config)
-        trace = FitTrace(rows=[TraceRow(0, opt.argmax, opt.loglik)],
-                         converged=opt.converged)
-        extra = (f"iterations: {opt.iterations}  "
-                 f"gradient norm: {opt.gradient_norm:.3e}")
-    else:
-        fitter = fit_em if algorithm is Algorithm.EM else fit_mcem
-        trace = fitter(sample, config)
-        extra = f"iterations: {trace.iterations}"
+    trace = fitter[algorithm](sample, config)
     wall_time = time.perf_counter() - t0
-    if algorithm is not Algorithm.DIRECT:
+    if trace.gradient_norm is None:
         _print_trace(trace)
     if args.trace:
         trace.write_csv(args.trace)
@@ -150,8 +143,9 @@ def _cmd_fit(args) -> int:
     summary = "  ".join(
         f"{name}={value:.4f}" for name, value in zip(final.param_names, final.reported())
     )
-    print(f"final: {summary}  loglik={trace.rows[-1].loglik:.4f}")
-    print(f"{extra}  converged: {'yes' if trace.converged else 'no'}")
+    extra = "" if trace.gradient_norm is None else f"  gradient norm: {trace.gradient_norm:.3e}"
+    print(f"final: {summary}  loglik={trace.loglik:.4f}")
+    print(f"iterations: {trace.iterations}{extra}  converged: {'yes' if trace.converged else 'no'}")
     print(f"wall time: {wall_time:.3f}s")
     return 0 if trace.converged else 2
 

@@ -32,32 +32,19 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .censoring import CensoredSample, ensure_fittable, observed_loglik
 from .distributions import Family, Laplace, Normal, ParamSet, Rayleigh, exact_sum
 from .exceptions import ParameterError
-from .fitting import Algorithm, FitConfig, default_start
+from .fitting import Algorithm, FitConfig, FitTrace, TraceRow, default_start
 
 __all__ = [
-    "OptimizerReport",
     "fit_direct",
     "rayleigh_mle_closed_form",
     "loglik_gradient_norm",
 ]
-
-
-@dataclass(frozen=True)
-class OptimizerReport:
-    """Outcome of a direct maximization."""
-
-    argmax: ParamSet
-    loglik: float
-    iterations: int
-    converged: bool
-    gradient_norm: float
 
 
 def minimize(*args, **kwargs):
@@ -187,12 +174,13 @@ def _fit_newton(sample: CensoredSample, start: Normal) -> tuple[Normal, int, boo
     return params, _NEWTON_MAX_STEPS, False
 
 
-def fit_direct(sample: CensoredSample, config: FitConfig) -> OptimizerReport:
+def fit_direct(sample: CensoredSample, config: FitConfig) -> FitTrace:
     """Maximize the censored-data log-likelihood: damped Newton from
     ``config.start`` (default: the moment start) for the normal family, the
     profile bisection for Laplace, the closed form for Rayleigh; no other
-    config field is read.  ``iterations`` counts Newton steps, Laplace profile
-    evaluations or 0.  ``converged`` means the search ended and the mean score
+    config field is read.  Returns a one-row trace whose ``s`` (and so
+    ``iterations``) counts Newton steps, Laplace profile evaluations or 0.
+    ``converged`` means the search ended and the mean score
     ``gradient_norm * scale / n`` (scale: the last reported coordinate) is at
     most 1e-6; a Newton search cut at its step cap or a singular Hessian is
     reported unconverged at its last point, as an EM trace is; nothing raises.
@@ -213,7 +201,7 @@ def fit_direct(sample: CensoredSample, config: FitConfig) -> OptimizerReport:
     grad = loglik_gradient_norm(sample, argmax)
     # the score sums n terms in units of 1/scale, so this reads alike at any n or scale
     converged = ended and grad * argmax.reported()[-1] / sample.n <= 1e-6
-    return OptimizerReport(argmax, loglik, iterations, converged, grad)
+    return FitTrace([TraceRow(iterations, argmax, loglik)], converged, grad)
 
 
 def rayleigh_mle_closed_form(sample: CensoredSample) -> Rayleigh:

@@ -1,8 +1,8 @@
 """Parametric families: normal, Laplace, and Rayleigh.
 
 Each family is a frozen dataclass that carries its natural parameters and
-exposes ``pdf``, ``cdf``, ``survival``, ``quantile`` plus the log-space
-variants the censored likelihood needs; ``from_reported`` inverts
+exposes what the fits use: ``logpdf`` and ``log_survival`` for the censored
+likelihood and ``quantile`` for simulation; ``from_reported`` inverts
 ``reported()`` and ``moment_start`` is the family's default start.  Each
 class gives the score of the censored log-likelihood of a sample in its
 reported coordinates (``reported_score``); the normal class also maps to
@@ -11,14 +11,14 @@ coordinates in which that log-likelihood is concave (``to_concave`` /
 (``concave_derivatives``), which the direct route's Newton search uses.
 ``exact_sum`` is the correctly rounded sum the likelihood and the scores
 add their terms with.  Methods accept scalars or numpy arrays and stay
-accurate far into the tails: the normal cdf/survival go through the
-complementary error function, the quantile and log-survival are SciPy's
-``ndtri`` and ``log_ndtr``, and the Mills ratio uses the scaled
-complementary error function so it never underflows.  Only these five
-normal helpers need ``scipy.special``, and each imports its ufunc in its
-own body: loading SciPy is most of the package's import time, so it is paid
-on a normal helper's first call, and a process that fits only Laplace or
-Rayleigh samples never loads SciPy.
+accurate far into the tails: the normal quantile and log-survival are
+SciPy's ``ndtri`` and ``log_ndtr``, ``norm_cdf`` and ``norm_sf`` (which the
+truncated sampler uses) go through the complementary error function, and
+the Mills ratio uses the scaled complementary error function so it never
+underflows.  Only these five normal helpers need ``scipy.special``, and
+each imports its ufunc in its own body: loading SciPy is most of the
+package's import time, so it is paid on a normal helper's first call, and a
+process that fits only Laplace or Rayleigh samples never loads SciPy.
 """
 
 from __future__ import annotations
@@ -276,23 +276,10 @@ class Normal:
                 return cls(float(np.mean(y)), v)
         return cls(0.0, 1.0)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        z = (x - self.mu) / self.sigma
-        return _maybe_float(np.exp(-0.5 * z * z) / (self.sigma * _SQRT_2PI))
-
     def logpdf(self, x):
         x = np.asarray(x, dtype=float)
         z = (x - self.mu) / self.sigma
         return _maybe_float(-0.5 * z * z - math.log(self.sigma) - _LOG_SQRT_2PI)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return norm_cdf((x - self.mu) / self.sigma)
-
-    def survival(self, x):
-        x = np.asarray(x, dtype=float)
-        return norm_sf((x - self.mu) / self.sigma)
 
     def log_survival(self, x):
         x = np.asarray(x, dtype=float)
@@ -398,27 +385,9 @@ class Laplace:
                 return cls(med, scale)
         return cls(0.0, 1.0)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return _maybe_float(np.exp(-np.abs(x - self.mu) / self.sigma) / (2.0 * self.sigma))
-
     def logpdf(self, x):
         x = np.asarray(x, dtype=float)
         return _maybe_float(-np.abs(x - self.mu) / self.sigma - math.log(2.0 * self.sigma))
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        z = (x - self.mu) / self.sigma
-        lower = 0.5 * np.exp(np.minimum(z, 0.0))
-        upper = 1.0 - 0.5 * np.exp(-np.maximum(z, 0.0))
-        return _maybe_float(np.where(z < 0.0, lower, upper))
-
-    def survival(self, x):
-        x = np.asarray(x, dtype=float)
-        z = (x - self.mu) / self.sigma
-        upper = 0.5 * np.exp(-np.maximum(z, 0.0))
-        lower = 1.0 - 0.5 * np.exp(np.minimum(z, 0.0))
-        return _maybe_float(np.where(z >= 0.0, upper, lower))
 
     def log_survival(self, x):
         x = np.asarray(x, dtype=float)
@@ -472,13 +441,6 @@ class Rayleigh:
                 return cls(math.sqrt(b2))
         return cls(1.0)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        b2 = self.beta * self.beta
-        pos = x > 0.0
-        xp = np.where(pos, x, 0.0)
-        return _maybe_float(np.where(pos, xp / b2 * np.exp(-0.5 * xp * xp / b2), 0.0))
-
     def logpdf(self, x):
         x = np.asarray(x, dtype=float)
         b2 = self.beta * self.beta
@@ -486,16 +448,6 @@ class Rayleigh:
         xp = np.where(pos, x, 1.0)
         good = np.log(xp) - math.log(b2) - 0.5 * xp * xp / b2
         return _maybe_float(np.where(pos, good, -np.inf))
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        b2 = self.beta * self.beta
-        return _maybe_float(np.where(x > 0.0, -np.expm1(-0.5 * x * x / b2), 0.0))
-
-    def survival(self, x):
-        x = np.asarray(x, dtype=float)
-        b2 = self.beta * self.beta
-        return _maybe_float(np.where(x > 0.0, np.exp(-0.5 * x * x / b2), 1.0))
 
     def log_survival(self, x):
         x = np.asarray(x, dtype=float)

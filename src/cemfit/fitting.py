@@ -121,18 +121,27 @@ class TraceRow:
 
 @dataclass
 class FitTrace:
-    """Full iteration history of a fit; row 0 holds the starting point."""
+    """The result of a fit on every route: row s holds the parameters after
+    s steps.  An EM or MCEM trace holds every step from the start (s = 0);
+    a direct fit has one row, its maximum after ``s`` steps (Newton steps,
+    Laplace profile evaluations, or 0 for the Rayleigh closed form), and
+    sets ``gradient_norm``, the norm of the score there."""
 
     rows: list[TraceRow] = field(default_factory=list)
     converged: bool = False
+    gradient_norm: float | None = None
 
     @property
     def final(self) -> ParamSet:
         return self.rows[-1].params
 
     @property
+    def loglik(self) -> float:
+        return self.rows[-1].loglik
+
+    @property
     def iterations(self) -> int:
-        """Number of update steps actually taken."""
+        """Number of steps actually taken."""
         return self.rows[-1].s if self.rows else 0
 
     def logliks(self) -> list[float]:

@@ -76,7 +76,7 @@ def test_02_em_fixed_point_agrees_with_direct_maximization():
     sample = example_normal()
     em = fit_em(sample, em_config(tol=1e-12, max_iter=5000))
     direct = fit_direct(sample, FitConfig(Family.NORMAL, Algorithm.DIRECT))
-    for a, b in zip(em.final.reported(), direct.argmax.reported()):
+    for a, b in zip(em.final.reported(), direct.final.reported()):
         assert abs(a - b) <= 1e-3
     assert rounds_to(em.final.reported()[0], rv.NORMAL_FIXED_POINT[0])
     assert rounds_to(em.final.reported()[1], rv.NORMAL_FIXED_POINT[1])

@@ -89,6 +89,19 @@ class TestFitCommand:
             assert int(summary[0].split()[1]) >= 1
         assert "simplex" not in out
 
+    @pytest.mark.parametrize("family", ["normal", "laplace", "rayleigh"])
+    def test_direct_trace_is_one_row_holding_the_step_count(self, capsys, tmp_path, family):
+        path = tmp_path / "direct.csv"
+        code, out, _ = run(capsys, "fit", "--family", family, "--algorithm", "direct",
+                           "--data", str(dataset_path(f"{family}_type2")),
+                           "--trace", str(path))
+        assert code == 0
+        lines = path.read_text().splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("s,")
+        summary = next(line for line in out.splitlines() if line.startswith("iterations: "))
+        assert lines[1].split(",")[0] == summary.split()[1]
+
     def test_mcem_fit_recovers_the_rayleigh_scale(self, capsys):
         code, out, _ = run(capsys, "fit", "--family", "rayleigh", "--data", RAYLEIGH_CSV,
                            "--start", "1", "--k", "2000", "--seed", "42")

@@ -75,7 +75,7 @@ class TestNormalDirect:
     def test_reference_data_matches_tabulated_mle(self):
         report = fit_direct(example_normal(), direct_config(Family.NORMAL))
         assert report.converged
-        mu, sigma = report.argmax.reported()
+        mu, sigma = report.final.reported()
         assert mu == pytest.approx(rv.NORMAL_MLE[0], abs=5e-4)
         assert sigma == pytest.approx(rv.NORMAL_MLE[1], abs=5e-4)
         assert report.gradient_norm <= 1e-5
@@ -88,20 +88,20 @@ class TestNormalDirect:
         em = fit_em(sample, FitConfig(Family.NORMAL, Algorithm.EM))
         assert em.converged
         direct = fit_direct(sample, direct_config(Family.NORMAL))
-        for a, b in zip(em.final.reported(), direct.argmax.reported()):
+        for a, b in zip(em.final.reported(), direct.final.reported()):
             assert a == pytest.approx(b, abs=1e-4 * scale)
 
     def test_report_is_internally_consistent(self):
         sample = example_normal()
         report = fit_direct(sample, direct_config(Family.NORMAL))
-        assert report.loglik == observed_loglik(sample, report.argmax)
-        assert report.gradient_norm == loglik_gradient_norm(sample, report.argmax)
+        assert report.loglik == observed_loglik(sample, report.final)
+        assert report.gradient_norm == loglik_gradient_norm(sample, report.final)
         assert report.iterations >= 1
 
     def test_argmax_beats_nearby_points(self):
         sample = example_normal()
         report = fit_direct(sample, direct_config(Family.NORMAL))
-        for value in perturbed_logliks(sample, report.argmax).values():
+        for value in perturbed_logliks(sample, report.final).values():
             assert value < report.loglik
 
     def test_matches_em_on_random_censored_samples(self):
@@ -118,7 +118,7 @@ class TestNormalDirect:
             em = fit_em(sample, FitConfig(Family.NORMAL, Algorithm.EM,
                                           tol=1e-12, max_iter=5000))
             direct = fit_direct(sample, direct_config(Family.NORMAL))
-            for a, b in zip(em.final.reported(), direct.argmax.reported()):
+            for a, b in zip(em.final.reported(), direct.final.reported()):
                 assert a == pytest.approx(b, abs=5e-4)
 
 
@@ -127,12 +127,12 @@ class TestLaplaceDirect:
         sample = example_laplace()
         oracle = laplace_mle_single_censor_time(sample)
         report = fit_direct(sample, direct_config(Family.LAPLACE))
-        assert report.argmax.mu == oracle.mu
-        assert report.argmax.sigma == pytest.approx(oracle.sigma, rel=1e-6)
+        assert report.final.mu == oracle.mu
+        assert report.final.sigma == pytest.approx(oracle.sigma, rel=1e-6)
 
     def test_reference_data_matches_tabulated_mle(self):
         report = fit_direct(example_laplace(), direct_config(Family.LAPLACE))
-        mu, sigma = report.argmax.reported()
+        mu, sigma = report.final.reported()
         assert mu == pytest.approx(rv.LAPLACE_MLE[0], abs=1e-3)
         assert sigma == pytest.approx(rv.LAPLACE_MLE[1], abs=1e-3)
 
@@ -142,7 +142,7 @@ class TestLaplaceDirect:
         sample = example_laplace()
         y = np.sort(sample.uncensored)
         report = fit_direct(sample, direct_config(Family.LAPLACE))
-        assert report.argmax.mu == 0.5 * (y[9] + y[10])
+        assert report.final.mu == 0.5 * (y[9] + y[10])
 
     @pytest.mark.parametrize("start", [Laplace(-40.0, 1e-3), Laplace(60.0, 1e3)], ids=str)
     def test_the_start_is_not_read(self, start):
@@ -154,7 +154,7 @@ class TestLaplaceDirect:
     def test_argmax_is_a_maximizer_up_to_the_flat_ridge(self):
         sample = example_laplace()
         report = fit_direct(sample, direct_config(Family.LAPLACE))
-        for signs, value in perturbed_logliks(sample, report.argmax).items():
+        for signs, value in perturbed_logliks(sample, report.final).items():
             assert value <= report.loglik + 1e-9
             if signs[1] != 0:  # any scale change leaves the ridge
                 assert value < report.loglik
@@ -173,8 +173,8 @@ class TestLaplaceDirect:
             oracle = laplace_mle_single_censor_time(sample)
             report = fit_direct(sample, direct_config(Family.LAPLACE))
             assert report.loglik >= observed_loglik(sample, oracle) - 1e-8
-            assert report.argmax.mu == pytest.approx(oracle.mu, rel=1e-5, abs=1e-6)
-            assert report.argmax.sigma == pytest.approx(oracle.sigma, rel=1e-5)
+            assert report.final.mu == pytest.approx(oracle.mu, rel=1e-5, abs=1e-6)
+            assert report.final.sigma == pytest.approx(oracle.sigma, rel=1e-5)
             done += 1
 
 
@@ -244,7 +244,7 @@ class TestLaplaceCanonicalization:
     @settings(max_examples=200, deadline=None)
     @given(sample=grid_samples())
     def test_matches_the_scan(self, sample):
-        got = fit_direct(sample, direct_config(Family.LAPLACE)).argmax
+        got = fit_direct(sample, direct_config(Family.LAPLACE)).final
         want = scan_canonical(sample)
         assert_not_lower(observed_loglik(sample, got), observed_loglik(sample, want))
 
@@ -252,7 +252,7 @@ class TestLaplaceCanonicalization:
     @given(case=flat_top_samples())
     def test_flat_top_is_its_midpoint(self, case):
         (left, right), sample = case
-        got = fit_direct(sample, direct_config(Family.LAPLACE)).argmax
+        got = fit_direct(sample, direct_config(Family.LAPLACE)).final
         assert got.mu == 0.5 * (left + right)
         want = scan_canonical(sample)
         assert got.mu == want.mu
@@ -359,7 +359,7 @@ class TestSmoothSegmentRoot:
         report = fit_direct(sample, direct_config(Family.LAPLACE))
         want = mp_profile_root(np.array(y), np.array(c), bracket)
         assert want == pytest.approx(approx, abs=1e-7)
-        assert report.argmax.mu == pytest.approx(want, rel=0, abs=4 * math.ulp(want))
+        assert report.final.mu == pytest.approx(want, rel=0, abs=4 * math.ulp(want))
         assert report.converged
 
 
@@ -380,9 +380,9 @@ class TestLaplaceKink:
         sample = kink_sample()
         report = fit_direct(sample, direct_config(Family.LAPLACE))
         assert report.converged
-        assert report.argmax.mu in sample.uncensored
-        assert type(report.argmax.mu) is float
-        assert report.gradient_norm * report.argmax.sigma / sample.n <= 1e-6
+        assert report.final.mu in sample.uncensored
+        assert type(report.final.mu) is float
+        assert report.gradient_norm * report.final.sigma / sample.n <= 1e-6
 
     def test_cli_exits_zero(self, tmp_path, capsys):
         data = tmp_path / "kink.csv"
@@ -393,7 +393,7 @@ class TestLaplaceKink:
 
     def test_shifted_point_reads_unconverged(self):
         sample = kink_sample()
-        mu, sigma = fit_direct(sample, direct_config(Family.LAPLACE)).argmax.reported()
+        mu, sigma = fit_direct(sample, direct_config(Family.LAPLACE)).final.reported()
         h = 1e-7 * sigma
         for shift in (-0.1, 0.1):
             at = mu + shift * sigma
@@ -410,25 +410,25 @@ class TestLaplaceKink:
         # profile falls off and the maximum is the kink, not a midpoint
         sample = CensoredSample([0.0, 1.0, 2.0, 1.0], [1, 1, 1, 0])
         report = fit_direct(sample, FitConfig(Family.LAPLACE, Algorithm.DIRECT, start=start))
-        assert report.argmax.mu == 1.0
+        assert report.final.mu == 1.0
         assert report.converged
 
 
 class TestRayleighDirect:
     def test_reference_data_matches_tabulated_mle(self):
         report = fit_direct(example_rayleigh(), direct_config(Family.RAYLEIGH))
-        assert report.argmax.beta == pytest.approx(rv.RAYLEIGH_MLE, abs=1e-3)
+        assert report.final.beta == pytest.approx(rv.RAYLEIGH_MLE, abs=1e-3)
 
     def test_agrees_with_closed_form(self):
         sample = example_rayleigh()
         closed = rayleigh_mle_closed_form(sample)
         report = fit_direct(sample, direct_config(Family.RAYLEIGH))
-        assert report.argmax.beta == pytest.approx(closed.beta, abs=1e-6)
+        assert report.final.beta == pytest.approx(closed.beta, abs=1e-6)
 
     def test_argmax_beats_nearby_points(self):
         sample = example_rayleigh()
         report = fit_direct(sample, direct_config(Family.RAYLEIGH))
-        for value in perturbed_logliks(sample, report.argmax).values():
+        for value in perturbed_logliks(sample, report.final).values():
             assert value < report.loglik
 
     @pytest.mark.parametrize("e", range(-12, 21))
@@ -440,7 +440,7 @@ class TestRayleighDirect:
         report = fit_direct(sample, FitConfig(Family.RAYLEIGH, Algorithm.DIRECT, start=start))
         assert report.converged
         assert report.iterations == 0
-        assert report.argmax.beta == closed.beta
+        assert report.final.beta == closed.beta
 
 
 class TestRayleighClosedForm:
@@ -508,7 +508,7 @@ BUNDLED = {Family.NORMAL: example_normal, Family.LAPLACE: example_laplace,
 @pytest.mark.parametrize("family", list(BUNDLED), ids=str)
 def test_reported_coordinates_are_python_floats(family):
     report = fit_direct(BUNDLED[family](), direct_config(family))
-    assert all(type(v) is float for v in report.argmax.reported())
+    assert all(type(v) is float for v in report.final.reported())
 
 
 # (family, location shift in scales, scale factor) away from the moment start
@@ -550,7 +550,7 @@ class TestOneSearch:
         report = fit_direct(sample, FitConfig(family, Algorithm.DIRECT, start=start))
         assert report.converged
         ref = _reference_mle(family, sample).reported()
-        for got, want in zip(report.argmax.reported(), ref, strict=True):
+        for got, want in zip(report.final.reported(), ref, strict=True):
             assert got == pytest.approx(want, rel=0, abs=1e-6 * ref[-1])
 
 
@@ -570,8 +570,8 @@ class TestNonConvergence:
         report = cemfit.fit(sample, direct_config(family))
         assert not report.converged
         assert report.iterations == 3
-        assert report.loglik == observed_loglik(sample, report.argmax)
-        assert report.gradient_norm == loglik_gradient_norm(sample, report.argmax)
+        assert report.loglik == observed_loglik(sample, report.final)
+        assert report.gradient_norm == loglik_gradient_norm(sample, report.final)
 
     @pytest.mark.parametrize("family, capped", [(Family.NORMAL, "capped_newton")], ids=str)
     def test_cli_says_so_and_exits_two(self, family, capped, request, capsys):
@@ -618,13 +618,13 @@ class TestNoMaximum:
     def test_a_sample_with_a_maximum_is_fitted(self, family, w, delta):
         report = fit_direct(CensoredSample(w, delta), direct_config(family))
         assert report.converged
-        assert report.argmax.reported()[-1] > 1e-3
+        assert report.final.reported()[-1] > 1e-3
 
     def test_rayleigh_is_not_refused(self):
         # the Rayleigh scale is closed-form and positive on any sample
         report = fit_direct(no_maximum_sample(), direct_config(Family.RAYLEIGH))
         assert report.converged
-        assert report.argmax == rayleigh_mle_closed_form(no_maximum_sample())
+        assert report.final == rayleigh_mle_closed_form(no_maximum_sample())
 
     def test_newton_stops_at_a_singular_hessian(self):
         # the search itself, under the refusal: it climbs toward scale 0 and
@@ -664,7 +664,7 @@ class TestScaleFreeConvergence:
         # 1e-7 sigma off the argmax the absolute score norm already exceeds
         # 1e-5 at this n, while the mean score in scale units stays small
         sample = CensoredSample(*large)
-        mu, sigma = fit_direct(sample, direct_config(Family.NORMAL)).argmax.reported()
+        mu, sigma = fit_direct(sample, direct_config(Family.NORMAL)).final.reported()
         norm = loglik_gradient_norm(sample, Normal.from_reported(mu + 1e-7 * sigma, sigma))
         assert norm > 1e-5
         assert norm * sigma / sample.n <= 1e-6
@@ -721,7 +721,7 @@ class TestAnalyticScore:
     @pytest.mark.parametrize("which", ["bundled", "mixed"])
     def test_matches_central_differences(self, family, shift, factor, which):
         sample = BUNDLED[family]() if which == "bundled" else mixed_bound_sample(family)
-        *loc, scale = fit_direct(sample, direct_config(family)).argmax.reported()
+        *loc, scale = fit_direct(sample, direct_config(family)).final.reported()
         params = type(default_start(sample, family)).from_reported(
             *(v + shift * scale for v in loc), factor * scale)
         if family is Family.LAPLACE:
@@ -797,7 +797,7 @@ class TestNewtonProperties:
         em = fit_em(sample, FitConfig(Family.NORMAL, Algorithm.EM,
                                       tol=1e-11, max_iter=50_000))
         assert em.converged
-        for got, want in zip(report.argmax.reported(), em.final.reported(), strict=True):
+        for got, want in zip(report.final.reported(), em.final.reported(), strict=True):
             assert got == pytest.approx(want, rel=0, abs=1e-6 * em.final.sigma)
 
     def test_an_overshooting_full_step_is_cut_back(self):

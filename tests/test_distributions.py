@@ -38,6 +38,15 @@ def all_params():
     return out
 
 
+def scipy_ref(params):
+    """scipy.stats' frozen distribution for ``params``: an independent oracle."""
+    if isinstance(params, Normal):
+        return stats.norm(params.mu, math.sqrt(params.sigma2))
+    if isinstance(params, Laplace):
+        return stats.laplace(params.mu, params.sigma)
+    return stats.rayleigh(scale=params.beta)
+
+
 def mp_norm_sf(x):
     return float(mpmath.erfc(mpmath.mpf(x) / mpmath.sqrt(2)) / 2)
 
@@ -129,20 +138,24 @@ class TestMillsRatio:
 
 
 class TestFamilyPointValues:
-    def test_pdf_at_reference_points(self):
-        assert Normal(0, 1).pdf(0.0) == pytest.approx(0.3989422804, abs=1e-10)
-        assert Laplace(0, 1).pdf(0.0) == pytest.approx(0.5, abs=0)
-        assert Rayleigh(1).pdf(1.0) == pytest.approx(0.6065306597, abs=1e-10)
+    # the density is exp(logpdf), the survival exp(log_survival) and the cdf
+    # -expm1(log_survival)
+    def test_logpdf_at_reference_points(self):
+        assert math.exp(Normal(0, 1).logpdf(0.0)) == pytest.approx(0.3989422804, abs=1e-10)
+        assert math.exp(Laplace(0, 1).logpdf(0.0)) == pytest.approx(0.5, abs=0)
+        assert math.exp(Rayleigh(1).logpdf(1.0)) == pytest.approx(0.6065306597, abs=1e-10)
 
-    def test_cdf_at_reference_points(self):
-        assert Normal(0, 1).cdf(0.0) == pytest.approx(0.5, abs=0)
-        assert Laplace(0, 1).cdf(-1.0) == pytest.approx(0.1839397206, abs=1e-10)
-        assert Rayleigh(2).cdf(2.0) == pytest.approx(0.3934693403, abs=1e-10)
+    def test_log_survival_gives_cdf_at_reference_points(self):
+        assert -math.expm1(Normal(0, 1).log_survival(0.0)) == pytest.approx(0.5, abs=0)
+        assert -math.expm1(Laplace(0, 1).log_survival(-1.0)) == pytest.approx(0.1839397206,
+                                                                              abs=1e-10)
+        assert -math.expm1(Rayleigh(2).log_survival(2.0)) == pytest.approx(0.3934693403,
+                                                                           abs=1e-10)
 
-    def test_survival_at_reference_points(self):
-        assert Normal(0, 1).survival(10.0) == pytest.approx(7.6199e-24, abs=1e-26)
-        assert Rayleigh(1).survival(0.0) == 1.0
-        assert Laplace(0, 1).survival(3.0) == pytest.approx(0.0248935342, abs=1e-10)
+    def test_log_survival_at_reference_points(self):
+        assert math.exp(Normal(0, 1).log_survival(10.0)) == pytest.approx(7.6199e-24, abs=1e-26)
+        assert Rayleigh(1).log_survival(0.0) == 0.0
+        assert math.exp(Laplace(0, 1).log_survival(3.0)) == pytest.approx(0.0248935342, abs=1e-10)
 
     def test_quantile_at_reference_points(self):
         assert Laplace(5, 2).quantile(0.5) == 5.0
@@ -150,14 +163,12 @@ class TestFamilyPointValues:
         assert Normal(0, 1).quantile(0.975) == pytest.approx(1.959963985, abs=1e-8)
 
     def test_laplace_kink_density_is_two_sided_value(self):
-        assert Laplace(3.0, 0.5).pdf(3.0) == 1.0  # 1/(2*0.5)
+        assert Laplace(3.0, 0.5).logpdf(3.0) == 0.0  # log(1/(2*0.5))
 
     def test_rayleigh_left_of_support(self):
         r = Rayleigh(2.0)
-        assert r.pdf(-1.0) == 0.0 and r.pdf(0.0) == 0.0
-        assert r.cdf(-1.0) == 0.0
-        assert r.survival(-1.0) == 1.0
-        assert r.logpdf(0.0) == -math.inf
+        assert r.logpdf(-1.0) == -math.inf and r.logpdf(0.0) == -math.inf
+        assert r.log_survival(-1.0) == 0.0
 
 
 class TestAgainstScipy:
@@ -167,26 +178,26 @@ class TestAgainstScipy:
         p = Normal(1.7, 0.004)
         ref = stats.norm(1.7, math.sqrt(0.004))
         xs = np.linspace(1.4, 2.0, 25)
-        assert_allclose(p.pdf(xs), ref.pdf(xs), rtol=1e-12)
-        assert_allclose(p.cdf(xs), ref.cdf(xs), rtol=1e-12)
-        assert_allclose(p.survival(xs), ref.sf(xs), rtol=1e-12)
+        assert_allclose(np.exp(p.logpdf(xs)), ref.pdf(xs), rtol=1e-12)
+        assert_allclose(-np.expm1(p.log_survival(xs)), ref.cdf(xs), rtol=1e-12)
+        assert_allclose(np.exp(p.log_survival(xs)), ref.sf(xs), rtol=1e-12)
         assert_allclose(p.log_survival(xs), ref.logsf(xs), rtol=1e-12, atol=1e-15)
 
     def test_laplace(self):
         p = Laplace(49.8, 4.7)
         ref = stats.laplace(49.8, 4.7)
         xs = np.linspace(30, 70, 25)
-        assert_allclose(p.pdf(xs), ref.pdf(xs), rtol=1e-12)
-        assert_allclose(p.cdf(xs), ref.cdf(xs), rtol=1e-12)
-        assert_allclose(p.survival(xs), ref.sf(xs), rtol=1e-12)
+        assert_allclose(np.exp(p.logpdf(xs)), ref.pdf(xs), rtol=1e-12)
+        assert_allclose(-np.expm1(p.log_survival(xs)), ref.cdf(xs), rtol=1e-12)
+        assert_allclose(np.exp(p.log_survival(xs)), ref.sf(xs), rtol=1e-12)
         assert_allclose(p.logpdf(xs), ref.logpdf(xs), rtol=1e-12)
 
     def test_rayleigh(self):
         p = Rayleigh(6.1341)
         ref = stats.rayleigh(scale=6.1341)
         xs = np.linspace(0.5, 25, 25)
-        assert_allclose(p.pdf(xs), ref.pdf(xs), rtol=1e-12)
-        assert_allclose(p.cdf(xs), ref.cdf(xs), rtol=1e-12)
+        assert_allclose(np.exp(p.logpdf(xs)), ref.pdf(xs), rtol=1e-12)
+        assert_allclose(-np.expm1(p.log_survival(xs)), ref.cdf(xs), rtol=1e-12)
         assert_allclose(p.log_survival(xs), ref.logsf(xs), rtol=1e-12)
         assert_allclose(p.quantile(np.array(U_GRID)), ref.ppf(U_GRID), rtol=1e-10)
 
@@ -194,11 +205,12 @@ class TestAgainstScipy:
 class TestSharedInvariants:
     @pytest.mark.parametrize("params", all_params(), ids=str)
     def test_quantile_round_trip(self, params):
+        ref = scipy_ref(params)
         for u in U_GRID:
-            assert abs(params.cdf(params.quantile(u)) - u) <= 1e-9
+            assert abs(ref.cdf(params.quantile(u)) - u) <= 1e-9
 
     @pytest.mark.parametrize("params", all_params(), ids=str)
-    def test_pdf_is_cdf_derivative(self, params):
+    def test_density_is_minus_survival_derivative(self, params):
         # central difference; step below 1e-6 of the scale loses accuracy
         if isinstance(params, Rayleigh):
             scale, xs = params.beta, params.beta * np.array([0.4, 1.0, 1.7, 2.5])
@@ -209,23 +221,12 @@ class TestSharedInvariants:
             scale = math.sqrt(params.sigma2)
             xs = params.mu + scale * np.array([-2.5, -1.1, 0.0, 0.7, 2.2])
         h = 1e-6 * scale
-        approx = (params.cdf(xs + h) - params.cdf(xs - h)) / (2 * h)
-        assert_allclose(approx, params.pdf(xs), rtol=1e-5)
+        below, above = np.exp(params.log_survival(xs - h)), np.exp(params.log_survival(xs + h))
+        approx = (below - above) / (2 * h)
+        assert_allclose(approx, np.exp(params.logpdf(xs)), rtol=1e-5)
 
     @pytest.mark.parametrize("params", all_params(), ids=str)
-    def test_survival_complements_cdf(self, params):
-        if isinstance(params, Rayleigh):
-            loc, scale = 0.0, params.beta
-        elif isinstance(params, Laplace):
-            loc, scale = params.mu, params.sigma
-        else:
-            loc, scale = params.mu, math.sqrt(params.sigma2)
-        xs = loc + scale * np.linspace(-5, 5, 21)
-        xs = xs[xs > 0] if isinstance(params, Rayleigh) else xs
-        assert np.all(np.abs(params.survival(xs) + params.cdf(xs) - 1.0) <= 1e-15)
-
-    @pytest.mark.parametrize("params", all_params(), ids=str)
-    def test_survival_positive_and_decreasing_in_far_tail(self, params):
+    def test_log_survival_finite_and_falling_in_far_tail(self, params):
         if isinstance(params, Rayleigh):
             loc, scale = 0.0, params.beta
         elif isinstance(params, Laplace):
@@ -233,8 +234,8 @@ class TestSharedInvariants:
         else:
             loc, scale = params.mu, math.sqrt(params.sigma2)
         xs = loc + scale * np.linspace(5, 12, 15)
-        values = np.atleast_1d(params.survival(xs))
-        assert np.all(values > 0)
+        values = np.atleast_1d(params.log_survival(xs))
+        assert np.all(np.exp(values) > 0)
         assert np.all(np.diff(values) < 0)
 
     @pytest.mark.parametrize(
@@ -244,7 +245,9 @@ class TestSharedInvariants:
         ts = np.array([0.0, 0.3, 1.0, 2.7, 4.9])
         for p in (Normal(*values), Laplace(*values)):
             mu = p.mu
-            assert np.all(np.abs(p.cdf(mu - ts) - p.survival(mu + ts)) <= 1e-15)
+            # cdf(mu - t) = survival(mu + t)
+            cdf = -np.expm1(p.log_survival(mu - ts))
+            assert np.all(np.abs(cdf - np.exp(p.log_survival(mu + ts))) <= 1e-15)
 
     @pytest.mark.parametrize("params", all_params(), ids=str)
     def test_density_integrates_to_one(self, params):
@@ -256,17 +259,17 @@ class TestSharedInvariants:
         else:
             s = math.sqrt(params.sigma2)
             lo, hi = params.mu - 20 * s, params.mu + 20 * s
-        total, _ = quad(lambda x: float(params.pdf(x)), lo, hi,
+        total, _ = quad(lambda x: math.exp(params.logpdf(x)), lo, hi,
                         points=[getattr(params, "mu", 0.0)], limit=200)
         assert total == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("params", all_params(), ids=str)
-    def test_logpdf_matches_log_of_pdf(self, params):
+    def test_logpdf_matches_scipy(self, params):
         if isinstance(params, Rayleigh):
             xs = params.beta * np.array([0.3, 1.0, 2.4])
         else:
             xs = getattr(params, "mu") + np.array([-1.3, 0.2, 1.9])
-        assert_allclose(params.logpdf(xs), np.log(params.pdf(xs)), rtol=1e-13)
+        assert_allclose(params.logpdf(xs), scipy_ref(params).logpdf(xs), rtol=1e-13)
 
 
 class TestConstruction:

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from cemfit.censoring import CensoredSample
+import cemfit
+from cemfit.censoring import CensoredSample, observed_loglik
+from cemfit.datasets import dataset_path
+from cemfit.direct import loglik_gradient_norm
 from cemfit.distributions import Family, Laplace, Normal, Rayleigh
 from cemfit.exceptions import DataError, ParameterError
 from cemfit.fitting import (
@@ -86,7 +89,9 @@ class TestTrace:
         trace = self._toy_trace()
         assert trace.final == Normal(1.8058, 0.1931**2)
         assert trace.iterations == 2
+        assert trace.loglik == -1.125
         assert trace.logliks() == [-12.5, -3.25, -1.125]
+        assert trace.gradient_norm is None
 
     def test_reported_converts_scale(self):
         row = TraceRow(1, Normal(1.8467, 0.2968**2), -3.25)
@@ -155,3 +160,27 @@ class TestDefaultStart:
 
     def test_rayleigh_moment_start_of_no_observations_is_unit(self):
         assert Rayleigh.moment_start(np.array([])) == Rayleigh(1.0)
+
+
+ROUTES = [(family, algorithm) for family in Family for algorithm in Algorithm
+          if algorithm is not Algorithm.EM or family is Family.NORMAL]
+
+
+class TestOneResultType:
+    @pytest.mark.parametrize(("family", "algorithm"), ROUTES, ids=lambda v: v.value)
+    def test_every_route_returns_a_fit_trace(self, family, algorithm):
+        sample = cemfit.read_censored_csv(dataset_path(f"{family.value}_type2"))
+        trace = cemfit.fit(sample, FitConfig(family, algorithm, k=20, max_iter=3))
+        assert type(trace) is FitTrace
+        assert trace.loglik == trace.rows[-1].loglik == observed_loglik(sample, trace.final)
+        assert trace.iterations == trace.rows[-1].s
+        if algorithm is Algorithm.DIRECT:
+            assert len(trace.rows) == 1
+            assert trace.gradient_norm == loglik_gradient_norm(sample, trace.final)
+        else:
+            assert trace.gradient_norm is None
+
+    def test_package_exports_one_result_type(self):
+        assert len(cemfit.__all__) == 27
+        assert "OptimizerReport" not in cemfit.__all__
+        assert not hasattr(cemfit, "OptimizerReport")
