@@ -50,14 +50,14 @@ def _build_parser() -> _Parser:
     fit.add_argument("--start", default=None,
                      help="comma-separated natural parameters "
                           "(normal: mu,sigma2; laplace: mu,sigma; rayleigh: beta)")
-    fit.add_argument("--k", type=int, default=50_000,
-                     help="Monte Carlo replicates per censored unit (default 50000)")
+    fit.add_argument("--k", type=int, default=FitConfig.k,
+                     help="Monte Carlo replicates per censored unit (default %(default)s)")
     fit.add_argument("--max-iter", type=int, default=None,
                      help="iteration budget (default 500 for em, 15 for mcem)")
-    fit.add_argument("--tol", type=float, default=1e-8,
+    fit.add_argument("--tol", type=float, default=FitConfig.tol,
                      help="em only: stop when no parameter moves more than this times "
-                          "sigma (default 1e-8)")
-    fit.add_argument("--seed", type=int, default=DEFAULT_SEED)
+                          "sigma (default %(default)g)")
+    fit.add_argument("--seed", type=int, default=FitConfig.seed)
     fit.add_argument("--trace", default=None, help="write the per-iteration trace CSV here")
 
     conv = sub.add_parser("convert-type2",
@@ -182,11 +182,12 @@ def _cmd_simulate(args) -> int:
         sample = from_type2(observed, args.n)
     else:
         cutoff = args.censor_time
-        if math.isnan(cutoff):
-            raise ParameterError("--censor-time must be a number or inf, got nan")
         if family is Family.RAYLEIGH and cutoff <= 0.0:
             # every w would be <= 0, which fit refuses as a nonpositive observation
             raise ParameterError(f"--censor-time must be positive for rayleigh, got {cutoff}")
+        if not cutoff > -math.inf:
+            # nan, or -inf, which would censor every unit at w = -inf: fit refuses both
+            raise ParameterError(f"--censor-time must be a finite number or inf, got {cutoff}")
         w = [min(float(x), cutoff) for x in draws]
         delta = [1 if float(x) <= cutoff else 0 for x in draws]
         sample = CensoredSample(w, delta)

@@ -140,38 +140,43 @@ def _try_point(sample: CensoredSample, point: tuple[float, float]):
         return None, -math.inf
 
 
-def _fit_newton(sample: CensoredSample, start: Normal) -> tuple[Normal, int, bool]:
+def _fit_newton(sample: CensoredSample, start: Normal) -> tuple[Normal, float, int, bool]:
     """Damped Newton in the normal family's concave coordinates from ``start``.
 
     Each step backtracks from the full Newton step by halving until the
-    log-likelihood rises by at least ``_ARMIJO`` times the predicted rise.
-    The search ends when the Newton decrement is at most
-    1e-15 * (1 + |loglik|), taking that last full step, or when no step
-    along the Newton direction raises the log-likelihood (the point is then
-    a maximum to working precision).  Returns the last point, the number of
-    steps taken and whether the search ended; it has not after
-    ``_NEWTON_MAX_STEPS`` steps or where the Hessian turns singular, as on a
-    sample whose likelihood has no maximum.
+    log-likelihood rises, by at least ``_ARMIJO`` times the predicted rise
+    (near the maximum that bound can round to the current value, so the rise
+    must be strict as well).  The search ends when the Newton decrement is at
+    most 1e-15 * (1 + |loglik|), taking that last full step unless it lowers
+    the log-likelihood, or when no step along the Newton direction raises
+    the log-likelihood (the point is then a maximum to working precision).
+    Returns the last point, its log-likelihood, the number of steps taken
+    and whether the search ended; it has not after ``_NEWTON_MAX_STEPS``
+    steps or where the Hessian turns singular, as on a sample whose
+    likelihood has no maximum.
     """
     params, point = start, start.to_concave()
     loglik = observed_loglik(sample, params)
     for steps in range(_NEWTON_MAX_STEPS):
         step, decrement = _newton_direction(params, sample)
         if step is None:
-            return params, steps, False
+            return params, loglik, steps, False
         if decrement <= 1e-15 * (1.0 + abs(loglik)):
-            return Normal.from_concave(*(p + s for p, s in zip(point, step))), steps + 1, True
+            full, value = _try_point(sample, tuple(p + s for p, s in zip(point, step)))
+            if value >= loglik:
+                return full, value, steps + 1, True
+            return params, loglik, steps, True
         alpha = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = tuple(p + alpha * s for p, s in zip(point, step))
             candidate, value = _try_point(sample, trial)
-            if value >= loglik + _ARMIJO * alpha * decrement:
+            if value > loglik and value >= loglik + _ARMIJO * alpha * decrement:
                 params, point, loglik = candidate, trial, value
                 break
             alpha *= 0.5
         else:
-            return params, steps, True
-    return params, _NEWTON_MAX_STEPS, False
+            return params, loglik, steps, True
+    return params, loglik, _NEWTON_MAX_STEPS, False
 
 
 def fit_direct(sample: CensoredSample, config: FitConfig) -> FitTrace:
@@ -188,16 +193,17 @@ def fit_direct(sample: CensoredSample, config: FitConfig) -> FitTrace:
     if config.algorithm is not Algorithm.DIRECT:
         raise ParameterError(f"fit_direct called with algorithm {config.algorithm}")
     family = config.family
-    if family is Family.RAYLEIGH:
-        argmax, iterations, ended = rayleigh_mle_closed_form(sample), 0, True
-    else:
+    if family is Family.NORMAL:
         ensure_fittable(sample, family)
+        start = config.start if config.start is not None else default_start(sample, family)
+        argmax, loglik, iterations, ended = _fit_newton(sample, start)
+    else:
         if family is Family.LAPLACE:
+            ensure_fittable(sample, family)
             argmax, iterations, ended = _fit_laplace(sample)
         else:
-            start = config.start if config.start is not None else default_start(sample, family)
-            argmax, iterations, ended = _fit_newton(sample, start)
-    loglik = observed_loglik(sample, argmax)
+            argmax, iterations, ended = rayleigh_mle_closed_form(sample), 0, True
+        loglik = observed_loglik(sample, argmax)
     grad = loglik_gradient_norm(sample, argmax)
     # the score sums n terms in units of 1/scale, so this reads alike at any n or scale
     converged = ended and grad * argmax.reported()[-1] / sample.n <= 1e-6

@@ -1,24 +1,27 @@
 """Parametric families: normal, Laplace, and Rayleigh.
 
-Each family is a frozen dataclass that carries its natural parameters and
-exposes what the fits use: ``logpdf`` and ``log_survival`` for the censored
-likelihood and ``quantile`` for simulation; ``from_reported`` inverts
-``reported()`` and ``moment_start`` is the family's default start.  Each
-class gives the score of the censored log-likelihood of a sample in its
-reported coordinates (``reported_score``); the normal class also maps to
+Each family is a frozen dataclass on the base ``ParamSet``, which checks
+that its natural parameters are finite and the last, the scale, positive.
+The families expose what the fits use: ``logpdf`` and ``log_survival`` for
+the censored likelihood and ``quantile`` for simulation; ``from_reported``
+inverts ``reported()`` (the natural parameters, with sigma for the normal
+sigma2) and ``moment_start`` is the family's default start.  Each class
+gives the score of the censored log-likelihood of a sample in its reported
+coordinates (``reported_score``); the normal class also maps to
 coordinates in which that log-likelihood is concave (``to_concave`` /
 ``from_concave``) and gives its score and Hessian there in closed form
 (``concave_derivatives``), which the direct route's Newton search uses.
 ``exact_sum`` is the correctly rounded sum the likelihood and the scores
 add their terms with.  Methods accept scalars or numpy arrays and stay
 accurate far into the tails: the normal quantile and log-survival are
-SciPy's ``ndtri`` and ``log_ndtr``, ``norm_cdf`` and ``norm_sf`` (which the
-truncated sampler uses) go through the complementary error function, and
-the Mills ratio uses the scaled complementary error function so it never
-underflows.  Only these five normal helpers need ``scipy.special``, and
-each imports its ufunc in its own body: loading SciPy is most of the
-package's import time, so it is paid on a normal helper's first call, and a
-process that fits only Laplace or Rayleigh samples never loads SciPy.
+SciPy's ``ndtri`` and ``log_ndtr``, ``norm_sf`` (which the truncated
+sampler uses, and as its cdf norm_sf(-z)) goes through the complementary
+error function, and the Mills ratio uses the scaled complementary error
+function so it never underflows.  Only the normal family needs
+``scipy.special``, and each of its functions imports its ufunc in its own
+body: loading SciPy is most of the package's import time, so it is paid on
+a normal fit's first call, and a process that fits only Laplace or
+Rayleigh samples never loads SciPy.
 """
 
 from __future__ import annotations
@@ -33,13 +36,12 @@ from .exceptions import ParameterError
 
 __all__ = [
     "Family",
+    "ParamSet",
     "Normal",
     "Laplace",
     "Rayleigh",
     "make_params",
-    "norm_cdf",
     "norm_sf",
-    "norm_logsf",
     "norm_ppf",
     "mills_ratio",
 ]
@@ -122,29 +124,11 @@ def _open_unit(u) -> np.ndarray:
 # standard normal helpers
 # ---------------------------------------------------------------------------
 
-def norm_cdf(z):
-    """Standard normal cdf via the complementary error function."""
-    from scipy.special import erfc
-    z = np.asarray(z, dtype=float)
-    return _maybe_float(0.5 * erfc(-z / _SQRT2))
-
-
 def norm_sf(z):
     """Standard normal survival function, accurate in the upper tail."""
     from scipy.special import erfc
     z = np.asarray(z, dtype=float)
     return _maybe_float(0.5 * erfc(z / _SQRT2))
-
-
-def norm_logsf(z):
-    """log of the standard normal survival function, as SciPy's ``log_ndtr(-z)``.
-
-    Finite for arbitrarily large ``z``, and accurate for negative ``z`` as
-    well, where log(0.5 * erfc(z / sqrt 2)) of a value near 1 loses digits.
-    """
-    from scipy.special import log_ndtr
-    z = np.asarray(z, dtype=float)
-    return _maybe_float(log_ndtr(-z))
 
 
 def mills_ratio(a):
@@ -156,7 +140,7 @@ def mills_ratio(a):
     branch divides pdf by survival: erfcx overflows there, so the scaled
     form alone would return 0 instead of ~1e-314 at a = -38.
     """
-    from scipy.special import erfc, erfcx
+    from scipy.special import erfcx
     a = np.asarray(a, dtype=float)
     out = np.empty_like(a)
     pos = a >= 0.0
@@ -164,7 +148,7 @@ def mills_ratio(a):
         out[pos] = math.sqrt(2.0 / math.pi) / erfcx(a[pos] / _SQRT2)
     if np.any(~pos):
         neg = a[~pos]
-        out[~pos] = np.exp(-0.5 * neg * neg) / _SQRT_2PI / (0.5 * erfc(neg / _SQRT2))
+        out[~pos] = np.exp(-0.5 * neg * neg) / _SQRT_2PI / norm_sf(neg)
     return _maybe_float(out)
 
 
@@ -184,8 +168,31 @@ def norm_ppf(u):
 # ---------------------------------------------------------------------------
 
 
+class ParamSet:
+    """Base of the families' frozen dataclasses, whose fields are the natural
+    parameters, each finite, with the scale last and positive."""
+
+    def __post_init__(self):
+        # __dict__ holds the fields in order; a fit builds many parameter
+        # sets, and walking it is the cheapest check
+        for name, value in self.__dict__.items():
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
+        if not value > 0.0:
+            raise ParameterError(f"{name} must be positive, got {value}")
+
+    def reported(self) -> tuple[float, ...]:
+        """Parameters as shown in traces and summaries, the scale last and
+        positive: the natural ones here; ``from_reported`` inverts this map."""
+        return tuple(self.__dict__.values())
+
+    @classmethod
+    def from_reported(cls, *values: float):
+        return cls(*values)
+
+
 @dataclass(frozen=True)
-class Normal:
+class Normal(ParamSet):
     """Normal distribution parameterized by mean and variance."""
 
     mu: float
@@ -194,22 +201,12 @@ class Normal:
     family = Family.NORMAL
     param_names = ("mu", "sigma")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma2)):
-            raise ParameterError("normal parameters must be finite")
-        if self.sigma2 <= 0.0:
-            raise ParameterError(f"variance must be positive, got {self.sigma2}")
-
     @property
     def sigma(self) -> float:
         return math.sqrt(self.sigma2)
 
     def reported(self) -> tuple[float, ...]:
-        """Parameters as displayed in traces and summaries: (mu, sigma).
-
-        In every family the scale is the last reported coordinate and is
-        positive; ``from_reported`` inverts this map.
-        """
+        """(mu, sigma): the normal family reports sigma where it stores sigma2."""
         return (self.mu, self.sigma)
 
     @classmethod
@@ -282,15 +279,19 @@ class Normal:
         return _maybe_float(-0.5 * z * z - math.log(self.sigma) - _LOG_SQRT_2PI)
 
     def log_survival(self, x):
+        """SciPy's ``log_ndtr`` of minus the standardized ``x``: finite far into
+        the upper tail, and accurate below the mean as well, where the log of
+        a survival near 1 would lose digits."""
+        from scipy.special import log_ndtr
         x = np.asarray(x, dtype=float)
-        return norm_logsf((x - self.mu) / self.sigma)
+        return _maybe_float(log_ndtr(-((x - self.mu) / self.sigma)))
 
     def quantile(self, u):
         return _maybe_float(self.mu + self.sigma * np.asarray(norm_ppf(u)))
 
 
 @dataclass(frozen=True)
-class Laplace:
+class Laplace(ParamSet):
     """Laplace (double exponential) distribution with location and scale."""
 
     mu: float
@@ -298,19 +299,6 @@ class Laplace:
 
     family = Family.LAPLACE
     param_names = ("mu", "sigma")
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
-            raise ParameterError("Laplace parameters must be finite")
-        if self.sigma <= 0.0:
-            raise ParameterError(f"scale must be positive, got {self.sigma}")
-
-    def reported(self) -> tuple[float, ...]:
-        return (self.mu, self.sigma)
-
-    @classmethod
-    def from_reported(cls, mu: float, sigma: float) -> "Laplace":
-        return cls(mu, sigma)
 
     def location_slopes(self, x: np.ndarray, c: np.ndarray) -> tuple[float, float]:
         """Sigma times the left and right slopes of the censored log-likelihood
@@ -404,26 +392,13 @@ class Laplace:
 
 
 @dataclass(frozen=True)
-class Rayleigh:
+class Rayleigh(ParamSet):
     """Rayleigh distribution with scale beta; support is x > 0."""
 
     beta: float
 
     family = Family.RAYLEIGH
     param_names = ("beta",)
-
-    def __post_init__(self):
-        if not math.isfinite(self.beta):
-            raise ParameterError("Rayleigh scale must be finite")
-        if self.beta <= 0.0:
-            raise ParameterError(f"scale must be positive, got {self.beta}")
-
-    def reported(self) -> tuple[float, ...]:
-        return (self.beta,)
-
-    @classmethod
-    def from_reported(cls, beta: float) -> "Rayleigh":
-        return cls(beta)
 
     def reported_score(self, sample) -> tuple[float]:
         """Score of the censored log-likelihood of ``sample`` in beta:
@@ -457,9 +432,6 @@ class Rayleigh:
     def quantile(self, u):
         u = _open_unit(u)
         return _maybe_float(self.beta * np.sqrt(-2.0 * np.log1p(-u)))
-
-
-ParamSet = Normal | Laplace | Rayleigh
 
 
 _CLASSES = {Family.NORMAL: Normal, Family.LAPLACE: Laplace, Family.RAYLEIGH: Rayleigh}

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .censoring import CensoredSample, ensure_fittable, observed_loglik
-from .distributions import Family, Normal, exact_sum, mills_ratio
+from .distributions import Normal, exact_sum, mills_ratio
 from .exceptions import DegenerateDataError, ParameterError
 from .fitting import Algorithm, FitConfig, FitTrace, TraceRow, default_start
 
@@ -47,8 +47,6 @@ def e_step(sample: CensoredSample, params: Normal) -> NormalSuffStats:
     """Expected sufficient statistics given the sample and current parameters."""
     bounds = sample.censor_times
     t1, t2, _ = sample.sums
-    if bounds.size == 0:
-        return NormalSuffStats(t1, t2, 0.0, 0.0)
     mu, sigma = params.mu, params.sigma
     h = np.atleast_1d(np.asarray(mills_ratio((bounds - mu) / sigma)))
     s1 = exact_sum(mu + sigma * h)
@@ -79,8 +77,8 @@ def fit_em(sample: CensoredSample, config: FitConfig) -> FitTrace:
     """
     if config.algorithm is not Algorithm.EM:
         raise ParameterError(f"fit_em called with algorithm {config.algorithm}")
-    ensure_fittable(sample, Family.NORMAL)
-    params = config.start if config.start is not None else default_start(sample, Family.NORMAL)
+    ensure_fittable(sample, config.family)
+    params = config.start if config.start is not None else default_start(sample, config.family)
     trace = FitTrace(rows=[TraceRow(0, params, observed_loglik(sample, params))])
     max_iter = config.resolved_max_iter()
     for s in range(1, max_iter + 1):

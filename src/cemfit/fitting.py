@@ -82,7 +82,7 @@ class FitConfig:
                 f"the exact EM step is only available for the normal family; "
                 f"use mcem or direct for {self.family}"
             )
-        if self.start is not None and not isinstance(self.start, tuple(_CLASSES.values())):
+        if self.start is not None and not isinstance(self.start, ParamSet):
             raise ParameterError(f"start must be a parameter set such as Normal(0.0, 1.0), "
                                  f"got {self.start!r}")
         if self.start is not None and self.start.family is not self.family:

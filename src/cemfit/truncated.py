@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .distributions import _maybe_float, _open_unit, norm_cdf, norm_ppf, norm_sf
+from .distributions import _maybe_float, _open_unit, norm_ppf, norm_sf
 from .exceptions import ParameterError, TailUnderflowError
 
 __all__ = [
@@ -94,7 +94,7 @@ def sample_truncated_normal(mu: float, sigma: float, lower, u):
         return mu - sigma * np.asarray(norm_ppf(tail[rows] * (1.0 - u[rows])))
 
     def interior(rows):
-        p = norm_cdf(r[rows]) + u[rows] * tail[rows]
+        p = norm_sf(-r[rows]) + u[rows] * tail[rows]
         # at u = 1 - 2**-53 the sum can round to 1, outside norm_ppf's domain
         np.minimum(p, 1.0 - 2.0**-53, out=p)
         return mu + sigma * np.asarray(norm_ppf(p))

@@ -317,9 +317,11 @@ class TestSimulate:
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert all(int(r[1]) == 1 for r in rows)
 
-    def test_nan_censor_time_exits_one(self, capsys):
-        code, out, err = run(capsys, "simulate", "--family", "normal", "--params", "0,1",
-                             "--n", "5", "--censor-time", "nan")
+    @pytest.mark.parametrize("family", ["normal", "laplace"])
+    @pytest.mark.parametrize("cutoff", ["nan", "-inf"])
+    def test_nan_censor_time_exits_one(self, capsys, family, cutoff):
+        code, out, err = run(capsys, "simulate", "--family", family, "--params", "0,1",
+                             "--n", "5", f"--censor-time={cutoff}")
         assert code == 1
         assert out == ""
         assert "--censor-time" in err

@@ -1,22 +1,26 @@
 """Distribution kernels against closed forms and high-precision oracles."""
 
+import dataclasses
+import importlib
 import math
+import pkgutil
 
 import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
+from scipy.special import erfc, log_ndtr
 
+import cemfit
 from cemfit.distributions import (
     Family,
     Laplace,
     Normal,
+    ParamSet,
     Rayleigh,
     make_params,
     mills_ratio,
-    norm_cdf,
-    norm_logsf,
     norm_ppf,
     norm_sf,
 )
@@ -58,10 +62,10 @@ class TestStandardNormalKernels:
         with mpmath.workdps(50):
             zs = np.concatenate([np.linspace(-8, 8, 161), [0.0]])
             expected = [float(mpmath.ncdf(mpmath.mpf(z))) for z in zs]
-            assert_allclose(norm_cdf(zs), expected, rtol=2e-14, atol=0)
+            assert_allclose(norm_sf(-zs), expected, rtol=2e-14, atol=0)
             deep = np.linspace(-37, 37, 149)
             expected = [float(mpmath.ncdf(mpmath.mpf(z))) for z in deep]
-            assert_allclose(norm_cdf(deep), expected, rtol=5e-13, atol=0)
+            assert_allclose(norm_sf(-deep), expected, rtol=5e-13, atol=0)
 
     def test_survival_matches_arbitrary_precision(self):
         with mpmath.workdps(50):
@@ -84,15 +88,24 @@ class TestStandardNormalKernels:
                         for z in zs]
         # atol floor: left of -5 the value is a tiny negative number whose
         # relative accuracy does not matter to any likelihood sum
-        assert_allclose(norm_logsf(zs), expected, rtol=5e-13, atol=1e-15)
+        assert_allclose(Normal(0.0, 1.0).log_survival(zs), expected, rtol=5e-13, atol=1e-15)
+
+    def test_cdf_and_log_survival_are_the_scipy_kernels_bitwise(self):
+        # the sampler's cdf is norm_sf(-z), the erfc form 0.5 * erfc(-z / sqrt 2),
+        # and the normal log-survival at N(0, 1) is log_ndtr(-z)
+        zs = np.concatenate([np.linspace(-40, 40, 321), [0.0, -0.0, 1e-300, -1e-300]])
+        assert (norm_sf(-zs).view(np.uint64)
+                == (0.5 * erfc(-zs / math.sqrt(2.0))).view(np.uint64)).all()
+        assert (Normal(0.0, 1.0).log_survival(zs).view(np.uint64)
+                == log_ndtr(-zs).view(np.uint64)).all()
 
     def test_quantile_against_bisection(self):
-        # independent root-find of norm_cdf(x) = u, bisected to 1e-12
+        # independent root-find of cdf(x) = norm_sf(-x) = u, bisected to 1e-12
         for u in [0.025, 0.31, 0.5, 0.77, 0.975, 1e-6, 1 - 1e-6]:
             lo, hi = -40.0, 40.0
             while hi - lo > 1e-12:
                 mid = 0.5 * (lo + hi)
-                if norm_cdf(mid) < u:
+                if norm_sf(-mid) < u:
                     lo = mid
                 else:
                     hi = mid
@@ -103,9 +116,9 @@ class TestStandardNormalKernels:
 
     def test_quantile_round_trip(self):
         us = np.array(U_GRID)
-        assert_allclose(norm_cdf(norm_ppf(us)), us, rtol=3e-14, atol=0)
+        assert_allclose(norm_sf(-norm_ppf(us)), us, rtol=3e-14, atol=0)
         extremes = np.array([1e-300, 1e-100, 1 - 1e-16])
-        assert_allclose(norm_cdf(norm_ppf(extremes)), extremes, rtol=5e-13, atol=0)
+        assert_allclose(norm_sf(-norm_ppf(extremes)), extremes, rtol=5e-13, atol=0)
 
     def test_quantile_symmetry_is_exact(self):
         # for u >= 0.5 the complement 1-u is exact in floating point, so the
@@ -297,10 +310,39 @@ class TestConstruction:
         with pytest.raises(ParameterError):
             make_params(Family.NORMAL, (0.0,))
 
+    @pytest.mark.parametrize("family", list(Family))
+    def test_each_field_is_checked_and_named(self, family):
+        # every natural parameter must be finite and the last, the scale, positive
+        good = PARAM_GRID[family][0]
+        names = [f.name for f in dataclasses.fields(type(make_params(family, good)))]
+        assert names[-1] in ("sigma2", "sigma", "beta")
+        for i, name in enumerate(names):
+            for bad in (math.nan, math.inf, -math.inf):
+                values = list(good)
+                values[i] = bad
+                with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+                    make_params(family, values)
+        for bad in (0.0, -0.0, -1.5):
+            with pytest.raises(ParameterError, match=f"^{names[-1]} must be positive"):
+                make_params(family, [*good[:-1], bad])
+
+    @pytest.mark.parametrize("params", all_params(), ids=repr)
+    def test_every_parameter_set_is_a_param_set(self, params):
+        assert isinstance(params, ParamSet)
+        assert type(params).__mro__[1] is ParamSet
+
     def test_family_values(self):
         assert Family("normal") is Family.NORMAL
         assert Family("laplace") is Family.LAPLACE
         assert Family("rayleigh") is Family.RAYLEIGH
+
+
+def test_every_public_name_resolves():
+    names = [info.name for info in pkgutil.iter_modules(cemfit.__path__)]
+    for module in [cemfit] + [importlib.import_module(f"cemfit.{name}") for name in names
+                              if name != "__main__"]:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 class TestReportedCoordinates:

@@ -211,7 +211,7 @@ class TestSupportAndGuards:
             sample_truncated_normal(0.0, 1.0, 40.0, 0.5)
 
     def test_largest_uniform_below_the_location(self):
-        # norm_cdf(r) + u * tail rounds to 1 at this bound when u = 1 - 2**-53
+        # the cdf norm_sf(-r) plus u * tail rounds to 1 at this bound when u = 1 - 2**-53
         lower, u = -1.4052449648204721, 1.0 - 2.0**-53
         x = sample_truncated_normal(0.0, 1.0, lower, u)
         assert math.isfinite(x) and x > lower
