@@ -166,15 +166,25 @@ class FitTrace:
 
 
 def read_trace_csv(path) -> list[tuple[float, ...]]:
-    """Parse a trace CSV back into numeric rows (s, params..., loglik)."""
+    """Parse a trace CSV back into numeric rows (s, params..., loglik).
+
+    A cell that is not a number raises :class:`DataError` naming its line.
+    """
     out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) is None:
             raise DataError(f"{path}: empty file (expected a trace header)")
-        for row in reader:
-            if row:
-                out.append(tuple(float(c) for c in row))
+        for lineno, row in enumerate(reader, start=2):
+            values = []
+            for cell in row:
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise DataError(f"{path}, line {lineno}: cannot parse trace value "
+                                    f"{cell!r}") from None
+            if values:
+                out.append(tuple(values))
     return out
 
 

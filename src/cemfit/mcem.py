@@ -138,10 +138,12 @@ class MonteCarloAccumulator:
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[np.ndarray]) -> "MonteCarloAccumulator":
+        """Totals of the (units × K) ``blocks``, each squared in place once its
+        row sums are taken: pass arrays that nothing reads afterwards."""
         s1, s2 = [], []
         for b in blocks:
             s1.append(b.sum(axis=1))
-            s2.append((b * b).sum(axis=1))
+            s2.append(np.square(b, out=b).sum(axis=1))
         return cls(_fsum_rows(s1), _fsum_rows(s2))
 
     @classmethod
@@ -155,7 +157,8 @@ class MonteCarloAccumulator:
 
 
 # Draws per sampler call: a chunk covers max(1, CHUNK_DRAWS // K) censored
-# units, so one float array of a chunk takes 64 KB.
+# units, so one float array of a chunk takes 64 KB for K <= 8192 and one
+# unit's row, K * 8 bytes, above that.
 CHUNK_DRAWS = 8192
 
 
@@ -231,7 +234,7 @@ def mcem_step_rayleigh(sample: CensoredSample, params: Rayleigh, k: int,
                        stream: RandomStream) -> Rayleigh:
     """One Monte Carlo EM sweep for the Rayleigh family: only the squares of
     the draws are summed."""
-    v2 = _fsum_rows([(b * b).sum(axis=1) for b in
+    v2 = _fsum_rows([np.square(b, out=b).sum(axis=1) for b in
                      _draw_blocks(sample, k, stream, sample_truncated_rayleigh, params.beta)])
     b2 = (sample.sums[1] + v2 / k) / (2.0 * sample.n)
     if not (b2 > 0.0):

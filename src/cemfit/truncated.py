@@ -28,16 +28,29 @@ def _as_rows(lower, u):
     of uniforms for them, plus the shape to give the draws back in.
 
     A scalar bound is one row holding every uniform, whatever ``u``'s shape;
-    a column of bounds takes one row of ``u`` each.
+    a column of bounds takes one row of ``u`` each.  Every bound must be
+    finite.
     """
     u = _open_unit(u)
     lower = np.asarray(lower, dtype=float)
+    shape = u.shape
     if lower.ndim == 0:
-        return lower.reshape(1, 1), u.reshape(1, -1), u.shape
-    if lower.ndim != 2 or lower.shape[1] != 1 or u.ndim != 2 or u.shape[0] != lower.shape[0]:
+        lower, u = lower.reshape(1, 1), u.reshape(1, -1)
+    elif lower.ndim != 2 or lower.shape[1] != 1 or u.ndim != 2 or u.shape[0] != lower.shape[0]:
         raise ParameterError(f"lower must be a scalar, or a (rows, 1) column for (rows, K) "
                              f"uniforms; got {lower.shape} and {u.shape}")
-    return lower, u, u.shape
+    bad = lower[~np.isfinite(lower)]
+    if bad.size:
+        raise ParameterError(f"truncation point must be finite, got {bad[0]}")
+    return lower, u, shape
+
+
+def _check_location_scale(mu, sigma):
+    """Refuse a non-finite location or a scale that is not finite and positive."""
+    if not math.isfinite(mu):
+        raise ParameterError(f"mu must be finite, got {mu}")
+    if sigma <= 0.0 or not math.isfinite(sigma):
+        raise ParameterError(f"sigma must be positive, got {sigma}")
 
 
 def _by_rows(take, first, second):
@@ -78,8 +91,7 @@ def sample_truncated_normal(mu: float, sigma: float, lower, u):
     to 1.  ``lower`` is a scalar or a (rows, 1) column of bounds for the rows
     of ``u``.
     """
-    if sigma <= 0.0 or not math.isfinite(sigma):
-        raise ParameterError(f"sigma must be positive, got {sigma}")
+    _check_location_scale(mu, sigma)
     lower, u, shape = _as_rows(lower, u)
     r = (lower - mu) / sigma
     tail = norm_sf(r)
@@ -90,14 +102,26 @@ def sample_truncated_normal(mu: float, sigma: float, lower, u):
             f"(standardized bound {r[deep, 0]:.3g}); too deep for stable inversion"
         )
 
+    # each branch holds two arrays of its rows' size, p and the draws x
     def upper(rows):
-        return mu - sigma * np.asarray(norm_ppf(tail[rows] * (1.0 - u[rows])))
+        # x = mu - sigma * norm_ppf(tail * (1 - u)); p <= tail <= 0.5, so
+        # norm_ppf needs no reflected copy
+        p = np.subtract(1.0, u[rows])
+        p *= tail[rows]
+        x = norm_ppf(p)
+        x *= sigma
+        return np.subtract(mu, x, out=x)
 
     def interior(rows):
-        p = norm_sf(-r[rows]) + u[rows] * tail[rows]
+        # x = mu + sigma * norm_ppf(norm_sf(-r) + u * tail)
+        p = u[rows] * tail[rows]
+        p += norm_sf(-r[rows])
         # at u = 1 - 2**-53 the sum can round to 1, outside norm_ppf's domain
         np.minimum(p, 1.0 - 2.0**-53, out=p)
-        return mu + sigma * np.asarray(norm_ppf(p))
+        x = norm_ppf(p)
+        x *= sigma
+        x += mu
+        return x
 
     return _strictly_above(_by_rows(r >= 0.0, upper, interior), lower, shape)
 
@@ -112,8 +136,7 @@ def sample_truncated_laplace(mu: float, sigma: float, lower, u):
     branches meet continuously at u = H.  ``lower`` is a scalar or a
     (rows, 1) column of bounds for the rows of ``u``.
     """
-    if sigma <= 0.0 or not math.isfinite(sigma):
-        raise ParameterError(f"sigma must be positive, got {sigma}")
+    _check_location_scale(mu, sigma)
     lower, u, shape = _as_rows(lower, u)
 
     def upper(rows):
@@ -126,10 +149,22 @@ def sample_truncated_laplace(mu: float, sigma: float, lower, u):
         r = (lower[rows] - mu) / sigma
         # math.exp, not np.exp: NumPy's vector exp differs from libm in the last bit
         er = np.array([math.exp(v) for v in r[:, 0].tolist()]).reshape(r.shape)
-        split = (1.0 - er) / (2.0 - er)
-        below = mu + sigma * np.log(2.0 * uu + (1.0 - uu) * er)
-        above = mu - sigma * np.log(2.0 * (1.0 - uu) - (1.0 - uu) * er)
-        return np.where(uu <= split, below, above)
+        below = uu <= (1.0 - er) / (2.0 - er)
+        above = ~below
+        # below the split x = mu + sigma * log(2u + (1 - u) e^r), above it
+        # x = mu - sigma * log(2(1 - u) - (1 - u) e^r), on one work array x;
+        # a - b is a + (-b) exactly, so the negations change no bit
+        x = np.subtract(1.0, uu)
+        t = x * er
+        np.copyto(x, uu, where=below)
+        x *= 2.0
+        np.negative(t, out=t, where=above)
+        x += t
+        np.log(x, out=x)
+        x *= sigma
+        np.negative(x, out=x, where=above)
+        x += mu
+        return x
 
     return _strictly_above(_by_rows(lower >= mu, upper, interior), lower, shape)
 
@@ -143,11 +178,10 @@ def sample_truncated_rayleigh(beta: float, lower, u):
     """
     if beta <= 0.0 or not math.isfinite(beta):
         raise ParameterError(f"beta must be positive, got {beta}")
-    bad = np.asarray(lower, dtype=float)
-    bad = bad[~((bad >= 0.0) & np.isfinite(bad))]
-    if bad.size:
-        raise ParameterError(f"truncation point must be finite and nonnegative, got {bad[0]}")
     lower, u, shape = _as_rows(lower, u)
+    bad = lower[lower < 0.0]
+    if bad.size:
+        raise ParameterError(f"truncation point must be nonnegative, got {bad[0]}")
     x = np.log(u)
     x *= 2.0 * beta * beta
     np.subtract(lower * lower, x, out=x)

@@ -8,9 +8,11 @@ import pkgutil
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
-from scipy.special import erfc, log_ndtr
+from scipy.special import erfc, log_ndtr, ndtri
 
 import cemfit
 from cemfit.distributions import (
@@ -126,6 +128,64 @@ class TestStandardNormalKernels:
         for u in [0.5000001, 0.75, 0.9, 0.9995, 1 - 1e-12]:
             assert norm_ppf(u) == -norm_ppf(1.0 - u)
         assert norm_ppf(0.5) == 0.0
+
+
+def norm_ppf_where(u):
+    """``norm_ppf`` as two full ``np.where`` passes: the reference it must equal."""
+    u = np.asarray(u, dtype=float)
+    upper = u > 0.5
+    x = ndtri(np.where(upper, 1.0 - u, u))
+    return np.where(upper, -x, x)
+
+
+# 0.5 is the largest value not reflected; 2**-53 and 1 - 2**-53 are the
+# smallest and largest uniforms the streams produce
+LOWER_HALF = st.floats(0.0, 0.5, exclude_min=True) | st.sampled_from([0.5, 2.0**-53])
+UPPER_HALF = (st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)
+              | st.just(1.0 - 2.0**-53))
+MIXED = st.tuples(st.lists(LOWER_HALF, min_size=1), st.lists(UPPER_HALF, min_size=1)).flatmap(
+    lambda halves: st.permutations(halves[0] + halves[1]))
+
+
+class TestQuantileAgainstWhereForm:
+    """``norm_ppf`` skips the reflection when no value exceeds 0.5 and reflects
+    one copy in place otherwise; either way it equals the two-``np.where``
+    form bit for bit and leaves its argument alone."""
+
+    @staticmethod
+    def check(values):
+        u = np.array(values, dtype=float)
+        kept = u.copy()
+        for block in (u, u.reshape(-1, 1)):
+            got = np.asarray(norm_ppf(block))
+            assert got.shape == block.shape
+            assert got.tobytes() == norm_ppf_where(block).tobytes()
+        assert u.tobytes() == kept.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(LOWER_HALF, min_size=1))
+    def test_all_lower(self, values):
+        self.check(values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(UPPER_HALF, min_size=1))
+    def test_all_upper(self, values):
+        self.check(values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(MIXED)
+    def test_mixed(self, values):
+        self.check(values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(LOWER_HALF | UPPER_HALF)
+    @example(0.5)
+    @example(2.0**-53)
+    @example(1.0 - 2.0**-53)
+    def test_scalar(self, u):
+        got = norm_ppf(u)
+        assert isinstance(got, float)
+        assert np.float64(got).tobytes() == norm_ppf_where(u).tobytes()
 
 
 class TestMillsRatio:

@@ -119,6 +119,13 @@ class TestTrace:
         with pytest.raises(DataError, match="trace.csv: empty file"):
             read_trace_csv(path)
 
+    def test_non_numeric_cell_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("s,mu,sigma,loglik\n0,1.0,2.0,-3.5\n1,1.1,oops,-3.4\n")
+        with pytest.raises(DataError, match=r"trace\.csv, line 3: cannot parse trace "
+                                            r"value 'oops'"):
+            read_trace_csv(path)
+
     def test_csv_header_and_shape(self):
         text = self._toy_trace().to_csv()
         lines = text.strip().split("\n")

@@ -449,3 +449,18 @@ class TestChunkedEStep:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+    def test_normal_step_holds_few_rows_of_draws(self):
+        # the bundled sample's 3 censored units at K = 50_000: one unit's row
+        # of draws is K * 8 bytes; the uniforms, the draws and the sampler's
+        # one work array make about 4 rows
+        sample, k = example_normal(), 50_000
+        params, stream = Normal.from_reported(1.7, 0.06), RandomStream(1).substream(1)
+        mcem_step_normal(sample, params, k, stream)  # warm-up: lazy imports and caches
+        tracemalloc.start()
+        try:
+            mcem_step_normal(sample, params, k, stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * k * 8

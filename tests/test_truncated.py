@@ -1,12 +1,15 @@
 """Truncated samplers against quadrature, KS, and closed-form oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import quad
+from scipy.special import ndtri
 
+from cemfit.distributions import norm_sf
 from cemfit.exceptions import NumericRangeError, ParameterError, TailUnderflowError
 from cemfit.streams import RandomStream
 from cemfit.truncated import (
@@ -241,6 +244,24 @@ class TestSupportAndGuards:
         with pytest.raises(ParameterError):
             sample_truncated_rayleigh(1.0, -0.5, 0.5)
 
+    @pytest.mark.parametrize("sampler", [sample_truncated_normal, sample_truncated_laplace],
+                             ids=["normal", "laplace"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_location_or_bound_is_named(self, sampler, bad):
+        # a non-finite bound once came back as a NaN or infinite draw, or was
+        # blamed on the uniforms
+        with pytest.raises(ParameterError, match=f"^mu must be finite, got {bad}"):
+            sampler(bad, 1.0, 0.0, 0.5)
+        with pytest.raises(ParameterError, match=f"^truncation point must be finite, got {bad}"):
+            sampler(0.0, 1.0, bad, 0.5)
+        with pytest.raises(ParameterError, match=f"^truncation point must be finite, got {bad}"):
+            sampler(0.0, 1.0, np.array([[0.0], [bad]]), np.full((2, 3), 0.5))
+
+    def test_rayleigh_names_a_non_finite_bound(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ParameterError, match=f"^truncation point must be finite, got {bad}"):
+                sample_truncated_rayleigh(1.0, bad, 0.5)
+
     def test_scalar_in_scalar_out(self):
         x = sample_truncated_normal(0.0, 1.0, 0.0, 0.5)
         assert isinstance(x, float)
@@ -289,8 +310,12 @@ SAMPLER_BRANCHES = [
     (sample_truncated_laplace, (0.0, 1.0), [0.0, 3.0, 9.0]),
     (sample_truncated_laplace, (0.0, 1.0), [-5.0, -0.1, -1.0]),
     (sample_truncated_rayleigh, (1.0,), [0.0, 2.5, 6.0]),
+    # a mixed chunk: rows on both branches in one call
+    (sample_truncated_normal, (0.0, 1.0), [0.0, -1.0, 2.5]),
+    (sample_truncated_laplace, (0.0, 1.0), [-1.0, 3.0, -0.1]),
 ]
-BRANCH_IDS = ["normal-upper", "normal-interior", "laplace-upper", "laplace-interior", "rayleigh"]
+BRANCH_IDS = ["normal-upper", "normal-interior", "laplace-upper", "laplace-interior", "rayleigh",
+              "normal-mixed", "laplace-mixed"]
 
 
 class TestUniformsArgument:
@@ -323,11 +348,51 @@ class TestUniformsArgument:
             sampler(*params, bounds[1], np.nan)
 
     def test_in_place_branches_keep_the_reference_arithmetic(self):
-        # the out-of-place formulas these branches were written as, bit for bit
+        # the out-of-place formulas these branches were written as, bit for bit,
+        # with the normal quantile as two np.where passes
         u, bounds = self.U, np.array([[0.0], [2.5], [6.0]])
-        above = np.nextafter(bounds, np.inf)
-        rayleigh = np.maximum(np.sqrt(bounds * bounds - 2.0 * 1.3 * 1.3 * np.log(u)), above)
-        laplace = np.maximum(bounds - 0.7 * np.log(u), above)
-        for got, expected in [(sample_truncated_rayleigh(1.3, bounds, u), rayleigh),
-                              (sample_truncated_laplace(-0.2, 0.7, bounds, u), laplace)]:
+        mu, sigma, mixed = 0.3, 1.7, np.array([[-2.0], [0.3], [2.9]])
+
+        def ppf(p):
+            upper = p > 0.5
+            x = ndtri(np.where(upper, 1.0 - p, p))
+            return np.where(upper, -x, x)
+
+        r = (mixed - mu) / sigma
+        tail = norm_sf(r)
+        inner = np.minimum(norm_sf(-r) + u * tail, 1.0 - 2.0**-53)
+        normal = np.where(r >= 0.0, mu - sigma * ppf(tail * (1.0 - u)), mu + sigma * ppf(inner))
+        er, uu = np.array([[math.exp(r[0, 0])]]), u[:1]  # a Laplace row bounded below mu
+        laplace_interior = np.where(uu <= (1.0 - er) / (2.0 - er),
+                                    mu + sigma * np.log(2.0 * uu + (1.0 - uu) * er),
+                                    mu - sigma * np.log(2.0 * (1.0 - uu) - (1.0 - uu) * er))
+        cases = [
+            (sample_truncated_rayleigh(1.3, bounds, u),
+             np.sqrt(bounds * bounds - 2.0 * 1.3 * 1.3 * np.log(u)), bounds),
+            (sample_truncated_laplace(-0.2, 0.7, bounds, u), bounds - 0.7 * np.log(u), bounds),
+            (sample_truncated_normal(mu, sigma, mixed, u), normal, mixed),
+            (sample_truncated_laplace(mu, sigma, mixed[:1], uu), laplace_interior, mixed[:1]),
+        ]
+        for got, expected, lower in cases:
+            expected = np.maximum(expected, np.nextafter(lower, np.inf))
             np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+class TestWorkingMemory:
+    """One sampler call on a (1, K) block holds its draws and at most one
+    other array of that size."""
+
+    K = 50_000
+    U = RandomStream(5).uniforms(K).reshape(1, K)
+
+    @pytest.mark.parametrize("bound", [0.5, -0.5], ids=["upper", "interior"])
+    def test_normal_sampler_peaks_below_two_and_a_half_rows(self, bound):
+        lower = np.array([[bound]])
+        sample_truncated_normal(0.0, 1.0, lower, self.U)  # warm-up: lazy imports
+        tracemalloc.start()
+        try:
+            sample_truncated_normal(0.0, 1.0, lower, self.U)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * self.U.nbytes
