@@ -156,8 +156,6 @@ def norm_ppf(u):
     """Inverse standard normal cdf for u in the open interval (0, 1)."""
     from scipy.special import ndtri
     u = _open_unit(u)
-    if not u.size or u.max() <= 0.5:
-        return _maybe_float(ndtri(u))
     upper = u > 0.5
     # 1 - u is exact for u >= 0.5, so the two halves are symmetric bitwise;
     # the one copy of u is reflected, inverted and negated in place

@@ -175,13 +175,13 @@ def read_trace_csv(path) -> list[tuple[float, ...]]:
         reader = csv.reader(fh)
         if next(reader, None) is None:
             raise DataError(f"{path}: empty file (expected a trace header)")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             values = []
             for cell in row:
                 try:
                     values.append(float(cell))
                 except ValueError:
-                    raise DataError(f"{path}, line {lineno}: cannot parse trace value "
+                    raise DataError(f"{path}, line {reader.line_num}: cannot parse trace value "
                                     f"{cell!r}") from None
             if values:
                 out.append(tuple(values))

@@ -104,8 +104,7 @@ def sample_truncated_normal(mu: float, sigma: float, lower, u):
 
     # each branch holds two arrays of its rows' size, p and the draws x
     def upper(rows):
-        # x = mu - sigma * norm_ppf(tail * (1 - u)); p <= tail <= 0.5, so
-        # norm_ppf needs no reflected copy
+        # x = mu - sigma * norm_ppf(tail * (1 - u))
         p = np.subtract(1.0, u[rows])
         p *= tail[rows]
         x = norm_ppf(p)
@@ -149,22 +148,10 @@ def sample_truncated_laplace(mu: float, sigma: float, lower, u):
         r = (lower[rows] - mu) / sigma
         # math.exp, not np.exp: NumPy's vector exp differs from libm in the last bit
         er = np.array([math.exp(v) for v in r[:, 0].tolist()]).reshape(r.shape)
-        below = uu <= (1.0 - er) / (2.0 - er)
-        above = ~below
-        # below the split x = mu + sigma * log(2u + (1 - u) e^r), above it
-        # x = mu - sigma * log(2(1 - u) - (1 - u) e^r), on one work array x;
-        # a - b is a + (-b) exactly, so the negations change no bit
-        x = np.subtract(1.0, uu)
-        t = x * er
-        np.copyto(x, uu, where=below)
-        x *= 2.0
-        np.negative(t, out=t, where=above)
-        x += t
-        np.log(x, out=x)
-        x *= sigma
-        np.negative(x, out=x, where=above)
-        x += mu
-        return x
+        split = (1.0 - er) / (2.0 - er)
+        below = mu + sigma * np.log(2.0 * uu + (1.0 - uu) * er)
+        above = mu - sigma * np.log(2.0 * (1.0 - uu) - (1.0 - uu) * er)
+        return np.where(uu <= split, below, above)
 
     return _strictly_above(_by_rows(lower >= mu, upper, interior), lower, shape)
 

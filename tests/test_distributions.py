@@ -148,9 +148,8 @@ MIXED = st.tuples(st.lists(LOWER_HALF, min_size=1), st.lists(UPPER_HALF, min_siz
 
 
 class TestQuantileAgainstWhereForm:
-    """``norm_ppf`` skips the reflection when no value exceeds 0.5 and reflects
-    one copy in place otherwise; either way it equals the two-``np.where``
-    form bit for bit and leaves its argument alone."""
+    """``norm_ppf`` reflects, inverts and negates one copy in place; it equals
+    the two-``np.where`` form bit for bit and leaves its argument alone."""
 
     @staticmethod
     def check(values):

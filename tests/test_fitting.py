@@ -126,6 +126,14 @@ class TestTrace:
                                             r"value 'oops'"):
             read_trace_csv(path)
 
+    def test_bad_cell_line_counts_file_lines_not_records(self, tmp_path):
+        # a quoted cell spanning two lines and a blank line shift the bad
+        # record to file line 5, though it is only the fourth record
+        path = tmp_path / "trace.csv"
+        path.write_text('s,mu,sigma,loglik\n0,"1.0\n",2.0,-3.5\n\n1,1.1,oops,-3.4\n')
+        with pytest.raises(DataError, match=r"trace\.csv, line 5: cannot parse trace "):
+            read_trace_csv(path)
+
     def test_csv_header_and_shape(self):
         text = self._toy_trace().to_csv()
         lines = text.strip().split("\n")

@@ -362,16 +362,11 @@ class TestUniformsArgument:
         tail = norm_sf(r)
         inner = np.minimum(norm_sf(-r) + u * tail, 1.0 - 2.0**-53)
         normal = np.where(r >= 0.0, mu - sigma * ppf(tail * (1.0 - u)), mu + sigma * ppf(inner))
-        er, uu = np.array([[math.exp(r[0, 0])]]), u[:1]  # a Laplace row bounded below mu
-        laplace_interior = np.where(uu <= (1.0 - er) / (2.0 - er),
-                                    mu + sigma * np.log(2.0 * uu + (1.0 - uu) * er),
-                                    mu - sigma * np.log(2.0 * (1.0 - uu) - (1.0 - uu) * er))
         cases = [
             (sample_truncated_rayleigh(1.3, bounds, u),
              np.sqrt(bounds * bounds - 2.0 * 1.3 * 1.3 * np.log(u)), bounds),
             (sample_truncated_laplace(-0.2, 0.7, bounds, u), bounds - 0.7 * np.log(u), bounds),
             (sample_truncated_normal(mu, sigma, mixed, u), normal, mixed),
-            (sample_truncated_laplace(mu, sigma, mixed[:1], uu), laplace_interior, mixed[:1]),
         ]
         for got, expected, lower in cases:
             expected = np.maximum(expected, np.nextafter(lower, np.inf))
