@@ -161,13 +161,13 @@ def observed_loglik(sample: CensoredSample, params: ParamSet) -> float:
     parts = []
     y = sample.uncensored
     if y.size:
-        lp = np.atleast_1d(np.asarray(params.logpdf(y)))
+        lp = params.logpdf(y)
         if np.any(np.isneginf(lp)):
             return -math.inf
         parts.append(lp)
     r = sample.censor_times
     if r.size:
-        parts.append(np.atleast_1d(np.asarray(params.log_survival(r))))
+        parts.append(params.log_survival(r))
     return exact_sum(np.concatenate(parts)) if parts else 0.0
 
 
@@ -227,7 +227,7 @@ def read_censored_csv(path) -> CensoredSample:
     Malformed rows raise :class:`DataError` naming the offending line.
     """
     w, delta = [], []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -152,7 +152,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_convert_type2(args) -> int:
     values = []
-    with open(args.values) as fh:
+    with open(args.values, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             token = line.strip()
             if not token:

@@ -247,7 +247,7 @@ class Normal(ParamSet):
         eta, tau = self.to_concave()
         m = sample.m
         a = tau * c - eta
-        lam = np.atleast_1d(mills_ratio(a))
+        lam = mills_ratio(a)
         # k = 1 - Var(Z | Z > a) lies in (0, 1); lam - a loses its digits for
         # large a, so clip: with k >= 0 the Hessian stays negative definite
         k = np.clip(lam * (lam - a), 0.0, 1.0)

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .censoring import CensoredSample, ensure_fittable, observed_loglik
 from .distributions import Normal, exact_sum, mills_ratio
 from .exceptions import DegenerateDataError, ParameterError
@@ -48,7 +46,7 @@ def e_step(sample: CensoredSample, params: Normal) -> NormalSuffStats:
     bounds = sample.censor_times
     t1, t2, _ = sample.sums
     mu, sigma = params.mu, params.sigma
-    h = np.atleast_1d(np.asarray(mills_ratio((bounds - mu) / sigma)))
+    h = mills_ratio((bounds - mu) / sigma)
     s1 = exact_sum(mu + sigma * h)
     s2 = exact_sum(mu * mu + params.sigma2 + (mu + bounds) * sigma * h)
     return NormalSuffStats(t1, t2, s1, s2)

@@ -153,11 +153,7 @@ class FitTrace:
     def to_csv(self) -> str:
         """Serialize with 17 significant digits so values re-parse exactly."""
         lines = [",".join(self.header())]
-        for row in self.rows:
-            cells = [str(row.s)]
-            cells += [f"{v:.17g}" for v in row.params.reported()]
-            cells.append(f"{row.loglik:.17g}")
-            lines.append(",".join(cells))
+        lines += [",".join(f"{v:.17g}" for v in row.reported()) for row in self.rows]
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:

@@ -162,9 +162,9 @@ class MonteCarloAccumulator:
 CHUNK_DRAWS = 8192
 
 
-def _draw_blocks(sample, k: int, stream: RandomStream, sampler, *params,
+def _draw_blocks(sample, k: int, stream: RandomStream, sampler, params,
                  rows=slice(None)) -> Iterator[np.ndarray]:
-    """Chunks of draws ``sampler(*params, bounds, u)``, one (units × K) block per call.
+    """Chunks of draws ``sampler(params, bounds, u)``, one (units × K) block per call.
 
     ``rows`` selects censored units (an index or mask into ``censor_times``;
     all of them by default).  Row r of a chunk holds the K draws of one
@@ -179,7 +179,7 @@ def _draw_blocks(sample, k: int, stream: RandomStream, sampler, *params,
     per = max(1, CHUNK_DRAWS // k)
     for a in range(0, idx.size, per):
         u = stream.unit_uniforms(idx[a:a + per], k)
-        yield np.asarray(sampler(*params, bounds[a:a + per, None], u))
+        yield np.asarray(sampler(params, bounds[a:a + per, None], u))
 
 
 def mcem_step_normal(sample: CensoredSample, params: Normal, k: int,
@@ -192,7 +192,7 @@ def mcem_step_normal(sample: CensoredSample, params: Normal, k: int,
     """
     t1, t2, _ = sample.sums
     acc = MonteCarloAccumulator.from_blocks(
-        _draw_blocks(sample, k, stream, sample_truncated_normal, params.mu, params.sigma))
+        _draw_blocks(sample, k, stream, sample_truncated_normal, params))
     return m_step(NormalSuffStats(t1, t2, acc.v1 / k, acc.v2 / k), sample.n)
 
 
@@ -218,11 +218,9 @@ def mcem_step_laplace(sample: CensoredSample, params: Laplace, k: int,
     y, bounds = sample.uncensored, sample.censor_times
     j = -(-(k * sample.n // 2 + 1) // k)
     near = bounds < (np.partition(y, j - 1)[j - 1] if j <= y.size else np.inf)
-    held = list(_draw_blocks(sample, k, stream, sample_truncated_laplace,
-                             params.mu, params.sigma, rows=near))
+    held = list(_draw_blocks(sample, k, stream, sample_truncated_laplace, params, rows=near))
     loc = weighted_median(y, k, held, beyond=k * (bounds.size - int(np.count_nonzero(near))))
-    far = _draw_blocks(sample, k, stream, sample_truncated_laplace,
-                       params.mu, params.sigma, rows=~near)
+    far = _draw_blocks(sample, k, stream, sample_truncated_laplace, params, rows=~near)
     dev = MonteCarloAccumulator.abs_deviation(chain(held, far), loc)
     scale = (exact_sum(np.abs(y - loc)) + dev / k) / sample.n
     if not (scale > 0.0):
@@ -235,7 +233,7 @@ def mcem_step_rayleigh(sample: CensoredSample, params: Rayleigh, k: int,
     """One Monte Carlo EM sweep for the Rayleigh family: only the squares of
     the draws are summed."""
     v2 = _fsum_rows([np.square(b, out=b).sum(axis=1) for b in
-                     _draw_blocks(sample, k, stream, sample_truncated_rayleigh, params.beta)])
+                     _draw_blocks(sample, k, stream, sample_truncated_rayleigh, params)])
     b2 = (sample.sums[1] + v2 / k) / (2.0 * sample.n)
     if not (b2 > 0.0):
         raise DegenerateDataError(f"update produced nonpositive squared scale {b2:.3e}")

@@ -1,8 +1,11 @@
 """Exact inverse-transform samplers for left-truncated distributions.
 
-Each sampler maps a uniform ``u`` in (0, 1) to a draw from the parent
-distribution conditioned on exceeding the truncation point ``lower``.  The
-functions are pure: the caller supplies the uniforms (see
+Each sampler is called as ``sampler(params, lower, u)``: it maps a uniform
+``u`` in (0, 1) to a draw from the family's parameter set ``params`` (a
+``Normal``, ``Laplace`` or ``Rayleigh``) conditioned on exceeding the
+truncation point ``lower``.  A parameter set is checked when it is built, so
+the samplers check only the bounds and the uniforms.  The functions are
+pure: the caller supplies the uniforms (see
 :class:`~cemfit.streams.RandomStream`), so every draw is reproducible and
 the samplers vectorize over ``u``.
 """
@@ -13,7 +16,7 @@ import math
 
 import numpy as np
 
-from .distributions import _maybe_float, _open_unit, norm_ppf, norm_sf
+from .distributions import Laplace, Normal, Rayleigh, _maybe_float, _open_unit, norm_ppf, norm_sf
 from .exceptions import ParameterError, TailUnderflowError
 
 __all__ = [
@@ -45,14 +48,6 @@ def _as_rows(lower, u):
     return lower, u, shape
 
 
-def _check_location_scale(mu, sigma):
-    """Refuse a non-finite location or a scale that is not finite and positive."""
-    if not math.isfinite(mu):
-        raise ParameterError(f"mu must be finite, got {mu}")
-    if sigma <= 0.0 or not math.isfinite(sigma):
-        raise ParameterError(f"sigma must be positive, got {sigma}")
-
-
 def _by_rows(take, first, second):
     """Rows where the (rows, 1) mask ``take`` holds come from ``first(rows)``,
     the others from ``second(rows)``.
@@ -82,8 +77,8 @@ def _strictly_above(x, lower, shape):
     return _maybe_float(x.reshape(shape))
 
 
-def sample_truncated_normal(mu: float, sigma: float, lower, u):
-    """Draw from a normal(mu, sigma^2) conditioned on exceeding ``lower``.
+def sample_truncated_normal(params: Normal, lower, u):
+    """Draw from ``params``, a normal(mu, sigma^2), conditioned on exceeding ``lower``.
 
     Uses the inverse conditional cdf.  When the truncation point sits in the
     upper half of the parent distribution the inversion runs through the
@@ -91,7 +86,7 @@ def sample_truncated_normal(mu: float, sigma: float, lower, u):
     to 1.  ``lower`` is a scalar or a (rows, 1) column of bounds for the rows
     of ``u``.
     """
-    _check_location_scale(mu, sigma)
+    mu, sigma = params.mu, params.sigma
     lower, u, shape = _as_rows(lower, u)
     r = (lower - mu) / sigma
     tail = norm_sf(r)
@@ -125,8 +120,8 @@ def sample_truncated_normal(mu: float, sigma: float, lower, u):
     return _strictly_above(_by_rows(r >= 0.0, upper, interior), lower, shape)
 
 
-def sample_truncated_laplace(mu: float, sigma: float, lower, u):
-    """Draw from a Laplace(mu, sigma) conditioned on exceeding ``lower``.
+def sample_truncated_laplace(params: Laplace, lower, u):
+    """Draw from ``params``, a Laplace(mu, sigma), conditioned on exceeding ``lower``.
 
     The truncation point falls either in the exponential upper half (a single
     log inversion) or below the location, where the conditional cdf changes
@@ -135,7 +130,7 @@ def sample_truncated_laplace(mu: float, sigma: float, lower, u):
     branches meet continuously at u = H.  ``lower`` is a scalar or a
     (rows, 1) column of bounds for the rows of ``u``.
     """
-    _check_location_scale(mu, sigma)
+    mu, sigma = params.mu, params.sigma
     lower, u, shape = _as_rows(lower, u)
 
     def upper(rows):
@@ -156,20 +151,18 @@ def sample_truncated_laplace(mu: float, sigma: float, lower, u):
     return _strictly_above(_by_rows(lower >= mu, upper, interior), lower, shape)
 
 
-def sample_truncated_rayleigh(beta: float, lower, u):
-    """Draw from a Rayleigh(beta) conditioned on exceeding ``lower`` >= 0.
+def sample_truncated_rayleigh(params: Rayleigh, lower, u):
+    """Draw from ``params``, a Rayleigh(beta), conditioned on exceeding ``lower`` >= 0.
 
     The conditional survival ratio inverts in closed form:
     x = sqrt(lower^2 - 2 beta^2 log u).  ``lower`` is a scalar or a (rows, 1)
     column of bounds for the rows of ``u``.
     """
-    if beta <= 0.0 or not math.isfinite(beta):
-        raise ParameterError(f"beta must be positive, got {beta}")
     lower, u, shape = _as_rows(lower, u)
     bad = lower[lower < 0.0]
     if bad.size:
         raise ParameterError(f"truncation point must be nonnegative, got {bad[0]}")
     x = np.log(u)
-    x *= 2.0 * beta * beta
+    x *= 2.0 * params.beta * params.beta
     np.subtract(lower * lower, x, out=x)
     return _strictly_above(np.sqrt(x, out=x), lower, shape)

@@ -184,35 +184,36 @@ def test_08_sampler_suite():
     # at-or-above-location Laplace branch and the Rayleigh sampler invert the
     # conditional survival function, so they recover 1 - u
     for mu, sigma, lower in NORMAL_CASES:
-        x = sample_truncated_normal(mu, sigma, lower, U_GRID)
+        x = sample_truncated_normal(Normal.from_reported(mu, sigma), lower, U_GRID)
         assert np.max(np.abs(truncated_cdf_normal(mu, sigma, lower, x) - U_GRID)) <= 1e-8
     for mu, sigma, lower in LAPLACE_CASES:
-        x = sample_truncated_laplace(mu, sigma, lower, U_GRID)
+        x = sample_truncated_laplace(Laplace(mu, sigma), lower, U_GRID)
         target = (1.0 - U_GRID) if lower >= mu else U_GRID
         assert np.max(np.abs(truncated_cdf_laplace(mu, sigma, lower, x) - target)) <= 1e-8
     for beta, lower in RAYLEIGH_CASES:
-        x = sample_truncated_rayleigh(beta, lower, U_GRID)
+        x = sample_truncated_rayleigh(Rayleigh(beta), lower, U_GRID)
         assert np.max(np.abs(truncated_cdf_rayleigh(beta, lower, x) - (1.0 - U_GRID))) <= 1e-8
 
     # strict support on ten million draws per family
     big = 10_000_000
     u = RandomStream(81).uniforms(big)
-    assert np.all(sample_truncated_normal(0.0, 1.0, 2.0, u) > 2.0)
-    assert np.all(sample_truncated_laplace(0.0, 1.0, -0.5, u) > -0.5)
-    assert np.all(sample_truncated_rayleigh(6.13, 10.627, u) > 10.627)
+    assert np.all(sample_truncated_normal(Normal(0.0, 1.0), 2.0, u) > 2.0)
+    assert np.all(sample_truncated_laplace(Laplace(0.0, 1.0), -0.5, u) > -0.5)
+    assert np.all(sample_truncated_rayleigh(Rayleigh(6.13), 10.627, u) > 10.627)
     del u
 
     # moments against numerical quadrature within four standard errors
     cases = [
-        (stats.norm(1.7, 0.0632), sample_truncated_normal, (1.7, 0.0632), 1.778),
-        (stats.laplace(49.8, 4.7), sample_truncated_laplace, (49.8, 4.7), 54.94),
-        (stats.laplace(0.0, 1.0), sample_truncated_laplace, (0.0, 1.0), -1.0),
-        (stats.rayleigh(scale=6.13), sample_truncated_rayleigh, (6.13,), 10.627),
+        (stats.norm(1.7, 0.0632), sample_truncated_normal, Normal.from_reported(1.7, 0.0632),
+         1.778),
+        (stats.laplace(49.8, 4.7), sample_truncated_laplace, Laplace(49.8, 4.7), 54.94),
+        (stats.laplace(0.0, 1.0), sample_truncated_laplace, Laplace(0.0, 1.0), -1.0),
+        (stats.rayleigh(scale=6.13), sample_truncated_rayleigh, Rayleigh(6.13), 10.627),
     ]
     k = 200_000
     for ref, sampler, params, lower in cases:
         tail = ref.sf(lower)
-        draws = sampler(*params, lower, RandomStream(5).uniforms(k))
+        draws = sampler(params, lower, RandomStream(5).uniforms(k))
         for power in (1, 2):
             exact = quad(lambda x: x**power * ref.pdf(x) / tail,
                          lower, np.inf, limit=200)[0]
@@ -236,8 +237,7 @@ def test_09_monte_carlo_moments_match_the_exact_e_step():
     k = 1_000_000
     stream = RandomStream(2).substream(1)
     blocks = [
-        sample_truncated_normal(params.mu, params.sigma, float(bound),
-                                stream.substream(int(idx)).uniforms(k))
+        sample_truncated_normal(params, float(bound), stream.substream(int(idx)).uniforms(k))
         for idx, bound in zip(sample.censored_indices, sample.censor_times)
     ]
     closed = e_step(sample, params)

@@ -37,6 +37,18 @@ class TestFitCommand:
         assert "final: mu=1.7422  sigma=0.0791" in out
         assert "converged: yes" in out
 
+    def test_data_with_a_byte_order_mark_fits_like_without(self, capsys, tmp_path):
+        # spreadsheet exports start a UTF-8 file with U+FEFF, which once spoiled the header
+        marked = tmp_path / "marked.csv"
+        marked.write_text(Path(LAPLACE_CSV).read_text(), encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        fit = ("fit", "--family", "laplace", "--algorithm", "direct", "--data")
+        _, plain, _ = run(capsys, *fit, LAPLACE_CSV)
+        code, out, err = run(capsys, *fit, str(marked))
+        assert (code, err) == (0, "")
+        # every line but the first, which names the file, and the last, the wall time
+        assert out.splitlines()[1:-1] == plain.splitlines()[1:-1]
+
     def test_trace_into_a_missing_directory_fails_before_fitting(self, capsys, tmp_path):
         path = tmp_path / "missing" / "t.csv"
         code, out, err = run(capsys, "fit", "--family", "laplace", "--algorithm", "mcem",
@@ -269,6 +281,13 @@ class TestConvertType2:
         code, out, _ = run(capsys, "convert-type2", "--values", str(values), "--total-n", "3")
         assert code == 0
         assert out == text
+
+    def test_values_with_a_byte_order_mark(self, capsys, tmp_path):
+        values = tmp_path / "values.txt"
+        values.write_text("0.5\n1.25\n", encoding="utf-8-sig")
+        code, out, err = run(capsys, "convert-type2", "--values", str(values), "--total-n", "3")
+        assert (code, err) == (0, "")
+        assert out == "w,delta\n0.5,1\n1.25,1\n1.25,0\n"
 
     def test_more_values_than_units_is_an_error(self, capsys, tmp_path):
         values = tmp_path / "values.txt"

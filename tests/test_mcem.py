@@ -38,11 +38,7 @@ def replicate_draws(sample, params, k, stream, sampler):
     """Blocks of conditional draws, addressed exactly like the fit loop."""
     blocks = []
     for idx, bound in zip(sample.censored_indices, sample.censor_times):
-        u = stream.substream(int(idx)).uniforms(k)
-        if isinstance(params, Rayleigh):
-            blocks.append(sampler(params.beta, float(bound), u))
-        else:
-            blocks.append(sampler(params.mu, params.sigma, float(bound), u))
+        blocks.append(sampler(params, float(bound), stream.substream(int(idx)).uniforms(k)))
     return blocks
 
 
@@ -209,8 +205,7 @@ class TestNormalStep:
 def laplace_step_holding_every_draw(sample, params, k, stream):
     """The Laplace MCEM step with every unit's draws held for the median."""
     y = sample.uncensored
-    blocks = list(mcem._draw_blocks(sample, k, stream, sample_truncated_laplace,
-                                    params.mu, params.sigma))
+    blocks = list(mcem._draw_blocks(sample, k, stream, sample_truncated_laplace, params))
     loc = weighted_median(y, k, blocks)
     dev = mcem.MonteCarloAccumulator.abs_deviation(blocks, loc)
     return Laplace(loc, (exact_sum(np.abs(y - loc)) + dev / k) / sample.n)
