@@ -152,17 +152,25 @@ def mills_ratio(a):
     return _maybe_float(out)
 
 
-def norm_ppf(u):
-    """Inverse standard normal cdf for u in the open interval (0, 1)."""
+def norm_ppf(u, out=None):
+    """Inverse standard normal cdf for u in the open interval (0, 1).
+
+    ``out``, a float array of ``u``'s shape, receives the result; it may be
+    ``u`` itself, which then holds the inverse in place of the probabilities.
+    By default the result goes to a fresh copy of ``u``.
+    """
     from scipy.special import ndtri
     u = _open_unit(u)
     upper = u > 0.5
     # 1 - u is exact for u >= 0.5, so the two halves are symmetric bitwise;
-    # the one copy of u is reflected, inverted and negated in place
-    x = u.copy()
-    np.subtract(1.0, u, out=x, where=upper)
-    ndtri(x, out=x)
-    return _maybe_float(np.negative(x, out=x, where=upper))
+    # out, holding u, is reflected, inverted and negated in place
+    if out is None:
+        out = u.copy()
+    elif out is not u:
+        np.copyto(out, u)
+    np.subtract(1.0, u, out=out, where=upper)
+    ndtri(out, out=out)
+    return _maybe_float(np.negative(out, out=out, where=upper))
 
 
 # ---------------------------------------------------------------------------

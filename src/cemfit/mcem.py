@@ -17,11 +17,13 @@ Draws are addressed by (seed, iteration, unit), so a fit is bit-reproducible
 regardless of evaluation order, and every iteration uses fresh draws.  A
 sweep draws a chunk of censored units at a time (``CHUNK_DRAWS`` draws per
 sampler call) and keeps per-unit running sums, so the normal and Rayleigh
-steps hold O(chunk) draws whatever n and K are.  The Laplace step holds the
+steps hold two chunk-sized arrays, the chunk's uniforms and its draws,
+whatever n and K are: each consumer overwrites a chunk's draws in place and
+drops them before the next chunk is drawn.  The Laplace step holds the
 draws of only the units whose bound lies below the exact value U that already
 covers both median ranks (see :func:`mcem_step_laplace`); under Type-II and
-fixed-time censoring with more than half the units exact that is none.  The
-chunk size changes no draw and no trace byte.
+fixed-time censoring with more than half the units exact that is none, and
+it too holds two arrays.  The chunk size changes no draw and no trace byte.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -122,6 +124,21 @@ def _fsum_rows(parts: list[np.ndarray]) -> float:
     return exact_sum(np.concatenate(parts)) if parts else 0.0
 
 
+def _row_square_sums(b: np.ndarray) -> np.ndarray:
+    """Row sums of the squares of ``b``, which ``b`` holds afterwards."""
+    return np.square(b, out=b).sum(axis=1)
+
+
+def _row_sums_and_squares(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums of ``b`` and of its squares, which ``b`` holds afterwards."""
+    return b.sum(axis=1), _row_square_sums(b)
+
+
+def _row_abs_deviations(b: np.ndarray, center: float) -> np.ndarray:
+    """Row sums of |b - center|, which ``b`` holds afterwards."""
+    return np.abs(np.subtract(b, center, out=b), out=b).sum(axis=1)
+
+
 @dataclass
 class MonteCarloAccumulator:
     """Totals over the censored units' conditional draws.
@@ -129,8 +146,13 @@ class MonteCarloAccumulator:
     ``v1``/``v2`` are the grand totals of the draws and their squares: the
     exactly rounded sums of each unit's row sums (``distributions.exact_sum``,
     equal to ``math.fsum``), so they do not depend on how the units were
-    chunked or in which order they come.  The accumulator holds one chunk at
-    a time; the Laplace step sums its deviations with :meth:`abs_deviation`.
+    chunked or in which order they come.  The Laplace step sums its
+    deviations with :meth:`abs_deviation`.
+
+    Both take (units × K) blocks that nothing reads afterwards, overwrite
+    each in place once its row sums are taken, and drop it before the next
+    is drawn: ``map`` holds no block between calls, where a ``for`` loop
+    would keep the last one alive while its successor is drawn.
     """
 
     v1: float
@@ -138,27 +160,22 @@ class MonteCarloAccumulator:
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[np.ndarray]) -> "MonteCarloAccumulator":
-        """Totals of the (units × K) ``blocks``, each squared in place once its
-        row sums are taken: pass arrays that nothing reads afterwards."""
-        s1, s2 = [], []
-        for b in blocks:
-            s1.append(b.sum(axis=1))
-            s2.append(np.square(b, out=b).sum(axis=1))
-        return cls(_fsum_rows(s1), _fsum_rows(s2))
+        """Totals of the draws of ``blocks`` and of their squares; each block
+        holds its squares afterwards."""
+        sums = list(map(_row_sums_and_squares, blocks))
+        return cls(_fsum_rows([s1 for s1, _ in sums]), _fsum_rows([s2 for _, s2 in sums]))
 
     @classmethod
     def abs_deviation(cls, blocks: Iterable[np.ndarray], center: float) -> float:
-        """Sum of |draw - center| over every draw of the (units × K) ``blocks``."""
-        sums = []
-        for b in blocks:
-            d = b - center
-            sums.append(np.abs(d, out=d).sum(axis=1))
-        return _fsum_rows(sums)
+        """Sum of |draw - center| over every draw of ``blocks``; each block
+        holds |draw - center| afterwards."""
+        return _fsum_rows(list(map(_row_abs_deviations, blocks, repeat(center))))
 
 
 # Draws per sampler call: a chunk covers max(1, CHUNK_DRAWS // K) censored
 # units, so one float array of a chunk takes 64 KB for K <= 8192 and one
-# unit's row, K * 8 bytes, above that.
+# unit's row, K * 8 bytes, above that.  A sweep holds two such arrays at a
+# time, the chunk's uniforms and its draws.
 CHUNK_DRAWS = 8192
 
 
@@ -178,6 +195,9 @@ def _draw_blocks(sample, k: int, stream: RandomStream, sampler, params,
     idx, bounds = sample.censored_indices[rows], sample.censor_times[rows]
     per = max(1, CHUNK_DRAWS // k)
     for a in range(0, idx.size, per):
+        # u stays bound across the yield until the next chunk's uniforms
+        # replace it: freeing it sooner lets glibc trim the heap between
+        # units and fault every row back in (ROADMAP, "Decided against")
         u = stream.unit_uniforms(idx[a:a + per], k)
         yield np.asarray(sampler(params, bounds[a:a + per, None], u))
 
@@ -211,7 +231,8 @@ def mcem_step_laplace(sample: CensoredSample, params: Laplace, k: int,
     ranks lie at or below U.  Every draw lies strictly above its bound, so a
     unit bounded at U or above only adds K members above both ranks: the
     median just counts them, and their draws are made after it and streamed
-    into the deviation sum.  Only the units bounded below U are held.  Draws
+    into the deviation sum.  Only the units bounded below U are held; the
+    deviation sum overwrites them after the median has read them.  Draws
     are addressed by unit and the deviation total is exactly rounded, so
     this split changes no result.
     """
@@ -232,8 +253,8 @@ def mcem_step_rayleigh(sample: CensoredSample, params: Rayleigh, k: int,
                        stream: RandomStream) -> Rayleigh:
     """One Monte Carlo EM sweep for the Rayleigh family: only the squares of
     the draws are summed."""
-    v2 = _fsum_rows([np.square(b, out=b).sum(axis=1) for b in
-                     _draw_blocks(sample, k, stream, sample_truncated_rayleigh, params)])
+    v2 = _fsum_rows(list(map(_row_square_sums, _draw_blocks(
+        sample, k, stream, sample_truncated_rayleigh, params))))
     b2 = (sample.sums[1] + v2 / k) / (2.0 * sample.n)
     if not (b2 > 0.0):
         raise DegenerateDataError(f"update produced nonpositive squared scale {b2:.3e}")

@@ -18,6 +18,8 @@ import operator
 
 import numpy as np
 
+from .exceptions import ParameterError
+
 __all__ = ["RandomStream"]
 
 _MASK64 = (1 << 64) - 1
@@ -99,7 +101,7 @@ def _to_uniforms(raw: np.ndarray) -> np.ndarray:
 
 def _derive_key(seed: int, path: tuple[int, ...]) -> tuple[int, int]:
     """Map (seed, path) to a 128-bit Philox key, one mixing round per component."""
-    k = _splitmix64(seed & _MASK64)
+    k = _splitmix64(seed)
     for c in path:
         k = _splitmix64(k ^ _splitmix64(c & _MASK64))
     return k, _splitmix64(k ^ 0xA5A5A5A5A5A5A5A5)
@@ -117,7 +119,8 @@ class RandomStream:
     Parameters
     ----------
     seed : int
-        64-bit master seed.  Two streams with the same seed and path are
+        Master seed in [0, 2**64); any other integer raises
+        ``ParameterError``.  Two streams with the same seed and path are
         identical; any difference in either gives an unrelated stream.
 
     Notes
@@ -132,6 +135,8 @@ class RandomStream:
         if not isinstance(seed, (int, np.integer)):
             raise TypeError("seed must be an integer")
         self.seed = int(seed)
+        if not 0 <= self.seed <= _MASK64:
+            raise ParameterError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
         self.path = _path
         key = np.array(_derive_key(self.seed, _path), dtype=np.uint64)
         self._bitgen = np.random.Philox(key=key)

@@ -97,12 +97,13 @@ def sample_truncated_normal(params: Normal, lower, u):
             f"(standardized bound {r[deep, 0]:.3g}); too deep for stable inversion"
         )
 
-    # each branch holds two arrays of its rows' size, p and the draws x
+    # each branch holds one array of its rows' size, p, inverted in place
+    # into the draws x
     def upper(rows):
         # x = mu - sigma * norm_ppf(tail * (1 - u))
         p = np.subtract(1.0, u[rows])
         p *= tail[rows]
-        x = norm_ppf(p)
+        x = norm_ppf(p, out=p)
         x *= sigma
         return np.subtract(mu, x, out=x)
 
@@ -112,7 +113,7 @@ def sample_truncated_normal(params: Normal, lower, u):
         p += norm_sf(-r[rows])
         # at u = 1 - 2**-53 the sum can round to 1, outside norm_ppf's domain
         np.minimum(p, 1.0 - 2.0**-53, out=p)
-        x = norm_ppf(p)
+        x = norm_ppf(p, out=p)
         x *= sigma
         x += mu
         return x

@@ -149,16 +149,22 @@ MIXED = st.tuples(st.lists(LOWER_HALF, min_size=1), st.lists(UPPER_HALF, min_siz
 
 class TestQuantileAgainstWhereForm:
     """``norm_ppf`` reflects, inverts and negates one copy in place; it equals
-    the two-``np.where`` form bit for bit and leaves its argument alone."""
+    the two-``np.where`` form bit for bit and leaves its argument alone,
+    unless ``out`` is that argument, which then holds the same bits."""
 
     @staticmethod
     def check(values):
         u = np.array(values, dtype=float)
         kept = u.copy()
         for block in (u, u.reshape(-1, 1)):
+            expected = norm_ppf_where(block).tobytes()
             got = np.asarray(norm_ppf(block))
             assert got.shape == block.shape
-            assert got.tobytes() == norm_ppf_where(block).tobytes()
+            assert got.tobytes() == expected
+            fresh, own = np.empty_like(block), block.copy()
+            assert norm_ppf(block, out=fresh) is fresh
+            assert norm_ppf(own, out=own) is own
+            assert fresh.tobytes() == own.tobytes() == expected
         assert u.tobytes() == kept.tobytes()
 
     @settings(max_examples=100, deadline=None)

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from cemfit.datasets import example_laplace, example_normal, example_rayleigh
 from cemfit.distributions import Family, Laplace, Normal, Rayleigh, exact_sum
 from cemfit.em import e_step
 from cemfit.exceptions import DataError, ParameterError
-from cemfit.fitting import Algorithm, FitConfig
+from cemfit.fitting import Algorithm, FitConfig, default_start
 from cemfit import mcem
 from cemfit.mcem import (
     fit_mcem,
@@ -42,21 +43,47 @@ def replicate_draws(sample, params, k, stream, sampler):
     return blocks
 
 
+def blocks_dropped_before_the_next(blocks):
+    """Yield ``blocks``, each only once the consumer holds none of the earlier ones."""
+    held = None
+    for b in blocks:
+        assert held is None or held() is None, "the previous block is still alive"
+        # a copy that only the consumer will hold: popped from the box, it is
+        # not bound in this frame across the yield
+        box = [b.copy()]
+        held = weakref.ref(box[0])
+        yield box.pop()
+
+
 class TestAccumulator:
-    def test_abs_deviation_is_exact_and_leaves_the_draws_alone(self):
+    def test_abs_deviation_is_exact_and_leaves_the_deviations_in_the_blocks(self):
         rng = np.random.default_rng(3)
         blocks = [rng.normal(0.0, 1.0, (4, 9)), rng.normal(2.0, 3.0, (1, 9))]
         kept = [b.copy() for b in blocks]
         got = mcem.MonteCarloAccumulator.abs_deviation(blocks, 0.25)
         # the exactly rounded total of the per-unit row sums
         assert got == math.fsum(np.abs(np.concatenate(kept) - 0.25).sum(axis=1))
+        # each block is overwritten in place with |b - center|
         for b, k in zip(blocks, kept):
-            np.testing.assert_array_equal(b, k)
+            np.testing.assert_array_equal(b, np.abs(k - 0.25))
 
     def test_totals_of_the_draws_and_their_squares(self):
-        blocks = [np.ones((2, 3)), np.zeros((1, 3))]
+        blocks = [np.ones((2, 3)), np.full((1, 3), -2.0)]
         acc = mcem.MonteCarloAccumulator.from_blocks(iter(blocks))
-        assert (acc.v1, acc.v2) == (6.0, 6.0)
+        assert (acc.v1, acc.v2) == (0.0, 18.0)
+        for b, square in zip(blocks, (1.0, 4.0)):
+            np.testing.assert_array_equal(b, np.full(b.shape, square))
+
+    @pytest.mark.parametrize("consume", [
+        mcem.MonteCarloAccumulator.from_blocks,
+        lambda blocks: mcem.MonteCarloAccumulator.abs_deviation(blocks, 0.5),
+    ], ids=["from_blocks", "abs_deviation"])
+    def test_each_block_is_dropped_before_the_next_is_drawn(self, consume):
+        # a consumer that kept its last block while the next one is drawn
+        # would hold one more row of K draws at every large-K unit
+        blocks = [np.full((1, 5), float(i)) for i in range(4)]
+        expected = consume([b.copy() for b in blocks])
+        assert consume(blocks_dropped_before_the_next(blocks)) == expected
 
 
 def materialized_median(values, k, singles=()):
@@ -397,6 +424,19 @@ BUNDLED = {"normal": example_normal, "laplace": example_laplace, "rayleigh": exa
 RANDOM = {"normal": random_censoring, "laplace": random_censoring, "rayleigh": positive_censoring}
 
 
+def step_peak_rows(step, sample, params, k=50_000):
+    """tracemalloc peak of one MCEM step after a warm-up, in rows of K * 8 bytes."""
+    stream = RandomStream(1).substream(1)
+    step(sample, params, k, stream)  # warm-up: lazy imports and caches
+    tracemalloc.start()
+    try:
+        step(sample, params, k, stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (k * 8)
+
+
 class TestChunkedEStep:
     @pytest.mark.parametrize("case", sorted(GOLDEN_TRACES), ids=lambda c: "-".join(map(str, c)))
     def test_traces_are_byte_identical_to_golden(self, case):
@@ -447,15 +487,17 @@ class TestChunkedEStep:
 
     def test_normal_step_holds_few_rows_of_draws(self):
         # the bundled sample's 3 censored units at K = 50_000: one unit's row
-        # of draws is K * 8 bytes; the uniforms, the draws and the sampler's
-        # one work array make about 4 rows
-        sample, k = example_normal(), 50_000
-        params, stream = Normal.from_reported(1.7, 0.06), RandomStream(1).substream(1)
-        mcem_step_normal(sample, params, k, stream)  # warm-up: lazy imports and caches
-        tracemalloc.start()
-        try:
-            mcem_step_normal(sample, params, k, stream)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4.5 * k * 8
+        # of draws is K * 8 bytes; a sweep holds the uniforms and the draws
+        assert step_peak_rows(mcem_step_normal, example_normal(),
+                              Normal.from_reported(1.7, 0.06)) < 2.5
+
+    def test_laplace_step_holds_few_rows_of_draws(self):
+        # Type-II: both censored units lie above the median, so none is held
+        sample = example_laplace()
+        assert step_peak_rows(mcem_step_laplace, sample,
+                              default_start(sample, Family.LAPLACE)) < 2.5
+
+    def test_rayleigh_step_holds_few_rows_of_draws(self):
+        sample = example_rayleigh()
+        assert step_peak_rows(mcem_step_rayleigh, sample,
+                              default_start(sample, Family.RAYLEIGH)) < 2.5

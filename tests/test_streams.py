@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from cemfit import streams
+from cemfit.exceptions import ParameterError
 from cemfit.streams import RandomStream, _derive_key
 
 
@@ -44,6 +45,27 @@ class TestDeterminism:
         nested = root.substream(2).substream(6).uniforms(32)
         flat = root.substream(2, 6).uniforms(32)
         assert_array_equal(nested, flat)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, -(2**64)])
+    def test_root_seed_outside_64_bits_is_refused(self, seed):
+        # reduced modulo 2**64, 2**64 would draw RandomStream(0)'s uniforms
+        # and -1 those of RandomStream(2**64 - 1)
+        with pytest.raises(ParameterError, match=f"unsigned 64-bit integer, got {seed}$"):
+            RandomStream(seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1)])
+    def test_root_seed_at_the_edges_of_64_bits_is_taken(self, seed):
+        assert RandomStream(seed).seed == int(seed)
+
+    def test_non_integer_seed_is_a_type_error(self):
+        for seed in (1.0, "1", None):
+            with pytest.raises(TypeError, match="seed must be an integer"):
+                RandomStream(seed)
+
+    def test_substream_components_keep_their_reduction_modulo_2_64(self):
+        root = RandomStream(0)
+        assert_array_equal(root.substream(-1).uniforms(8), root.substream(2**64 - 1).uniforms(8))
+        assert_array_equal(root.substream(2**64).uniforms(8), root.substream(0).uniforms(8))
 
     def test_path_is_recorded(self):
         stream = RandomStream(11).substream(4).substream(2, 9)
