@@ -111,9 +111,6 @@ class CensoredSample:
         y, c = self._uncensored, self._censor_times
         return exact_sum(y), exact_sum(y * y), exact_sum(c * c)
 
-    def __len__(self) -> int:
-        return self.n
-
     def to_csv(self) -> str:
         """Serialize with header ``w,delta``; ``repr`` keeps values round-tripping exactly."""
         lines = ["w,delta"] + [f"{float(v)!r},{int(d)}" for v, d in zip(self._w, self._delta)]

@@ -13,14 +13,22 @@ with a = (R - mu) / sigma and h the standard normal hazard, exact for any
 a >= 0.  The M-step is the complete-data MLE at those expectations, so each
 sweep can only increase the observed-data log-likelihood; Monte Carlo EM
 reuses it on draw averages.
+
+Both EM routes run one sweep loop, :func:`_iterate`, and differ only in the
+``step`` and ``stop`` they pass it.  :func:`fit_em` passes the exact sweep
+``m_step(e_step(...))`` and stops once both reported parameters move less
+than ``tol`` times the new sigma; :func:`cemfit.mcem.fit_mcem` passes its
+family's Monte Carlo step on the sweep's own substream and a rule that never
+stops, so its budget ends it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .censoring import CensoredSample, ensure_fittable, observed_loglik
-from .distributions import Normal, exact_sum, mills_ratio
+from .distributions import Normal, ParamSet, exact_sum, mills_ratio
 from .exceptions import DegenerateDataError, ParameterError
 from .fitting import Algorithm, FitConfig, FitTrace, TraceRow, default_start
 
@@ -65,6 +73,27 @@ def m_step(stats: NormalSuffStats, n: int) -> Normal:
     return Normal(mean, var)
 
 
+def _iterate(sample: CensoredSample, config: FitConfig,
+             step: Callable[[ParamSet, int], ParamSet],
+             stop: Callable[[ParamSet, ParamSet], bool]) -> FitTrace:
+    """The sweep loop of both EM routes: row 0 is the start, sweep s appends
+    ``step(params, s)``, and the run ends converged once ``stop(new, old)``
+    holds, else after ``config.resolved_max_iter()`` sweeps.  It looks up
+    ``ensure_fittable``, ``default_start`` and ``observed_loglik`` in this
+    module, where ``perfbench/tracing.py`` wraps them."""
+    ensure_fittable(sample, config.family)
+    params = config.start if config.start is not None else default_start(sample, config.family)
+    trace = FitTrace(rows=[TraceRow(0, params, observed_loglik(sample, params))])
+    for s in range(1, config.resolved_max_iter() + 1):
+        new = step(params, s)
+        trace.rows.append(TraceRow(s, new, observed_loglik(sample, new)))
+        if stop(new, params):
+            trace.converged = True
+            break
+        params = new
+    return trace
+
+
 def fit_em(sample: CensoredSample, config: FitConfig) -> FitTrace:
     """Run the closed-form EM iteration (``FitConfig`` allows it for the normal family only).
 
@@ -75,16 +104,10 @@ def fit_em(sample: CensoredSample, config: FitConfig) -> FitTrace:
     """
     if config.algorithm is not Algorithm.EM:
         raise ParameterError(f"fit_em called with algorithm {config.algorithm}")
-    ensure_fittable(sample, config.family)
-    params = config.start if config.start is not None else default_start(sample, config.family)
-    trace = FitTrace(rows=[TraceRow(0, params, observed_loglik(sample, params))])
-    max_iter = config.resolved_max_iter()
-    for s in range(1, max_iter + 1):
-        new = m_step(e_step(sample, params), sample.n)
-        trace.rows.append(TraceRow(s, new, observed_loglik(sample, new)))
-        delta = max(abs(a - b) for a, b in zip(new.reported(), params.reported()))
-        params = new
-        if delta < config.tol * new.sigma:
-            trace.converged = True
-            break
-    return trace
+
+    def moved_less_than_tol(new: Normal, old: Normal) -> bool:
+        delta = max(abs(a - b) for a, b in zip(new.reported(), old.reported()))
+        return delta < config.tol * new.sigma
+
+    return _iterate(sample, config, lambda params, s: m_step(e_step(sample, params), sample.n),
+                    moved_less_than_tol)

@@ -123,3 +123,26 @@ def test_traced_em_and_laplace_mcem_hit_their_hooks(tracing):
                  "mcem.accumulate", "mcem.median"):
         assert seen[name]["count"] > 0, name
     assert tracer.bound_violations == 0
+
+
+@pytest.mark.parametrize("fit, counts", [
+    ((example_normal, cemfit.FitConfig(cemfit.Family.NORMAL, cemfit.Algorithm.EM)),
+     {"censoring.validate": 1, "fitting.default_start": 1, "censoring.loglik": 22,
+      "em.e_step": 21}),
+    ((example_laplace, cemfit.FitConfig(cemfit.Family.LAPLACE, cemfit.Algorithm.MCEM,
+                                        k=200, max_iter=2)),
+     {"censoring.validate": 1, "fitting.default_start": 1, "censoring.loglik": 3,
+      "mcem.step": 2}),
+], ids=["normal-em", "laplace-mcem"])
+def test_each_route_fires_its_hooks_once_per_call(tracing, fit, counts):
+    # exact counts per route: a sweep loop that calls a name the tracer does
+    # not patch, or calls one twice, changes them (row 0 plus one loglik per sweep)
+    data, config = fit
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        cemfit.fit(data(), config)
+    finally:
+        tracer.uninstall()
+    seen = tracer.summarize()
+    assert {name: seen[name]["count"] for name in counts} == counts

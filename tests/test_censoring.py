@@ -262,6 +262,16 @@ class TestCsvRoundTrip:
             read_censored_csv(path)
         assert "line 2" in str(err.value)
 
+    def test_blank_lines_are_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("w,delta\n1.5,1\n\n   \n2.0,0\n\n")
+        back = read_censored_csv(path)
+        assert_array_equal(back.w, [1.5, 2.0])
+        assert_array_equal(back.delta, [1, 0])
+        path.write_text("w,delta\n1.5,1\n\n2.0,7\n")
+        with pytest.raises(DataError, match="line 4: delta must be 0 or 1"):
+            read_censored_csv(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("w,delta\n")

@@ -289,6 +289,17 @@ class TestConvertType2:
         assert (code, err) == (0, "")
         assert out == "w,delta\n0.5,1\n1.25,1\n1.25,0\n"
 
+    def test_blank_lines_are_skipped_but_counted(self, capsys, tmp_path):
+        values = tmp_path / "values.txt"
+        values.write_text("0.5\n\n  \n1.25\n\n")
+        code, out, err = run(capsys, "convert-type2", "--values", str(values), "--total-n", "3")
+        assert (code, err) == (0, "")
+        assert out == "w,delta\n0.5,1\n1.25,1\n1.25,0\n"
+        values.write_text("0.5\n\nbogus\n")
+        code, _, err = run(capsys, "convert-type2", "--values", str(values), "--total-n", "3")
+        assert code == 1
+        assert "line 3: cannot parse value 'bogus'" in err
+
     def test_more_values_than_units_is_an_error(self, capsys, tmp_path):
         values = tmp_path / "values.txt"
         values.write_text("1.0\n2.0\n3.0\n")

@@ -1,5 +1,6 @@
 """Exact EM for censored normal data: moments, updates, and ascent."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -167,13 +168,36 @@ class TestFitEm:
         assert trace.iterations <= 2  # second step only confirms the fixed point
 
     def test_rejects_mismatched_config(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="^fit_em called with algorithm mcem$"):
             fit_em(example_normal(), FitConfig(Family.NORMAL, Algorithm.MCEM))
 
     def test_rejects_all_censored_sample(self):
         s = CensoredSample([1.0, 2.0], [0, 0])
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^all observations are censored: likelihood "
+                           "unbounded; estimation refused$"):
             fit_em(s, self._config())
+
+
+# sha256 of FitTrace.to_csv() for the bundled normal sample: (FitConfig
+# overrides, rows, converged) -> hash.  The sweep loop is shared with MCEM,
+# and no refactor of it may move a byte of an EM trace.
+GOLDEN_EM_TRACES = [
+    ({}, 22, True, "cf297a3df95c4e6c94c678b32425da915a2260f090f8c56ac373b7d9c83f933d"),
+    ({"start": Normal(0.0, 1.0), "tol": 1e-12, "max_iter": 5000}, 38, True,
+     "2b128382f6503a00aee7559d258c9a41f63e3ca399976aae8e9fc69c2914c042"),
+    ({"max_iter": 3}, 4, False,
+     "35e0eb5919af09e4c4af450d3880d3b12ebf38fbf9e666f3d36fdf04a91c1e5c"),
+    ({"start": Normal(1.7, 0.004)}, 22, True,
+     "9a298c61436fd6343d7640b1979199d4f8c6e6cd44202412101296bd58d1318f"),
+]
+
+
+@pytest.mark.parametrize("overrides, rows, converged, digest", GOLDEN_EM_TRACES,
+                         ids=["default", "far-start-tight-tol", "budget-3", "start-a"])
+def test_em_traces_are_byte_identical_to_golden(overrides, rows, converged, digest):
+    trace = fit_em(example_normal(), FitConfig(Family.NORMAL, Algorithm.EM, **overrides))
+    assert (len(trace.rows), trace.converged) == (rows, converged)
+    assert hashlib.sha256(trace.to_csv().encode()).hexdigest() == digest
 
 
 class TestAscentProperty:

@@ -366,12 +366,13 @@ class TestFitMcem:
         assert all(row.params == mle for row in trace.rows[1:])
 
     def test_rejects_mismatched_config(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="^fit_mcem called with algorithm em$"):
             fit_mcem(example_normal(), FitConfig(Family.NORMAL, Algorithm.EM))
 
     def test_rejects_unfittable_sample(self):
         s = CensoredSample([1.0, 2.0], [0, 0])
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^all observations are censored: likelihood "
+                           "unbounded; estimation refused$"):
             fit_mcem(s, FitConfig(Family.NORMAL, Algorithm.MCEM))
 
 
