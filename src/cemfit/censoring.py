@@ -221,7 +221,9 @@ def ensure_fittable(sample: CensoredSample, family: Family | None = None) -> Non
 def read_censored_csv(path) -> CensoredSample:
     """Read a sample from CSV with header ``w,delta``.
 
-    Malformed rows raise :class:`DataError` naming the offending line.
+    A delta cell is an integer or any number equal to 0 or 1, such as
+    ``1.0`` or ``0e0``.  Malformed rows raise :class:`DataError` naming the
+    offending line.
     """
     w, delta = [], []
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -243,7 +245,12 @@ def read_censored_csv(path) -> CensoredSample:
             try:
                 flag = int(row[1])
             except ValueError:
-                raise DataError(f"{path}, line {lineno}: cannot parse delta value {row[1]!r}") from None
+                # a float column writes its flags as 1.0 and 0.0
+                try:
+                    flag = float(row[1])
+                except ValueError:
+                    raise DataError(f"{path}, line {lineno}: cannot parse delta value "
+                                    f"{row[1]!r}") from None
             if flag not in (0, 1):
                 raise DataError(f"{path}, line {lineno}: delta must be 0 or 1, got {flag}")
             w.append(value)

@@ -12,6 +12,7 @@ import os
 import sys
 import time
 
+from . import fit
 from .censoring import (
     CensoredSample,
     ensure_fittable,
@@ -19,13 +20,15 @@ from .censoring import (
     read_censored_csv,
     write_censored_csv,
 )
-from .direct import fit_direct
 from .distributions import Family, make_params
-from .em import fit_em
 from .exceptions import DataError, NumericRangeError, ParameterError
-from .fitting import DEFAULT_SEED, Algorithm, FitConfig, FitTrace, _checked_seed
-from .mcem import fit_mcem
+from .fitting import DEFAULT_SEED, Algorithm, FitConfig, FitTrace
 from .streams import RandomStream
+
+# fit_direct, fit_em, fit_mcem: unused, patched by perfbench/tracing.py
+from .direct import fit_direct
+from .em import fit_em
+from .mcem import fit_mcem
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,10 +132,8 @@ def _cmd_fit(args) -> int:
     elif algorithm is Algorithm.EM:
         print(f"max_iter: {config.resolved_max_iter()}  tol: {config.tol:g}")
 
-    # looked up here, at call time, so a wrapper installed on this module's names is called
-    fitter = {Algorithm.EM: fit_em, Algorithm.MCEM: fit_mcem, Algorithm.DIRECT: fit_direct}
     t0 = time.perf_counter()
-    trace = fitter[algorithm](sample, config)
+    trace = fit(sample, config)
     wall_time = time.perf_counter() - t0
     if trace.gradient_norm is None:
         _print_trace(trace)
@@ -173,7 +174,7 @@ def _cmd_simulate(args) -> int:
     params = make_params(family, _parse_values(args.params))
     if args.n < 1:
         raise ParameterError("n must be at least 1")
-    stream = RandomStream(_checked_seed(args.seed))
+    stream = RandomStream(args.seed)
     draws = params.quantile(stream.uniforms(args.n))
     if args.type2_r is not None:
         if not 1 <= args.type2_r <= args.n:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from .censoring import CensoredSample
 from .distributions import _CLASSES, Family, ParamSet
 from .exceptions import DataError, ParameterError
+from .streams import _root_seed
 
 __all__ = [
     "Algorithm",
@@ -42,14 +43,6 @@ def _integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _checked_seed(value) -> int:
-    """``value`` as a Python int if it is a root seed: an integer in [0, 2**64)."""
-    seed = _integer("seed", value)
-    if not 0 <= seed < 2**64:
-        raise ParameterError("seed must fit in an unsigned 64-bit integer")
-    return seed
 
 
 @dataclass
@@ -98,7 +91,7 @@ class FitConfig:
                 raise ParameterError("max_iter must be a positive integer")
         if not 0.0 < self.tol < math.inf:
             raise ParameterError("tol must be positive and finite")
-        self.seed = _checked_seed(self.seed)
+        self.seed = _root_seed(_integer("seed", self.seed))
 
     def resolved_max_iter(self) -> int:
         if self.max_iter is not None:

@@ -33,6 +33,7 @@ budget.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -70,12 +71,13 @@ def weighted_median(values, k, singles=(), beyond=0) -> float:
 
     For an even total count the median is the average of the two middle
     order statistics.  The multiset is never materialized: ``values`` are
-    sorted, one comparison counts the singles above the largest of them,
-    ``searchsorted`` plus ``bincount`` counts the rest falling into each gap
-    between them, and a target rank then lands either on a sorted value or
-    inside one gap, whose singles alone are partitioned.  The ``beyond``
-    members are only counted, at the top of the order; a median rank that
-    falls among them raises, since their values were never given.
+    sorted, and a bisection over them finds the first value v whose count
+    of members at most v, k·#(values <= v) + #(singles <= v), reaches the
+    target rank.  That member is v itself unless the rank falls among the
+    singles strictly between v and the value before it; those singles alone
+    are then partitioned.  The ``beyond`` members are only counted, at the
+    top of the order; a median rank that falls among them raises, since
+    their values were never given.
     """
     k = _integer("k", k)
     beyond = _integer("beyond", beyond)
@@ -86,38 +88,28 @@ def weighted_median(values, k, singles=(), beyond=0) -> float:
         raise ParameterError(f"beyond must be nonnegative, got {beyond}")
     h = np.sort(h)
     singles = [np.asarray(a, dtype=float).ravel() for a in singles]
-    # gap g holds the singles in (h[g-1], h[g]], as searchsorted places them;
-    # the singles above h[-1] (the last gap) are counted by one comparison,
-    # and only the rest are searched
-    counts = np.zeros(h.size + 1, dtype=np.int64)
-    counts[-1] = beyond
-    for part in singles:
-        above = part > h[-1]
-        n_above = np.count_nonzero(above)
-        counts[-1] += n_above
-        if n_above < part.size:
-            counts += np.bincount(np.searchsorted(h, part[~above] if n_above else part),
-                                  minlength=h.size + 1)
-    # cumulative counts over the segments gap 0, h[0], gap 1, h[1], ..., gap h.size
-    ends = np.cumsum(np.stack([counts, np.full(h.size + 1, k)], axis=1).ravel()[:-1])
-    total = int(ends[-1])
+    total = k * h.size + sum(p.size for p in singles) + beyond
+
+    def members(v, side="right") -> int:
+        """Members at most v, or below v for side "left"."""
+        below = np.less_equal if side == "right" else np.less
+        return k * int(np.searchsorted(h, v, side)) + sum(
+            int(np.count_nonzero(below(p, v))) for p in singles)
 
     def select(rank: int) -> float:
         if rank > total - beyond:
             raise ParameterError(f"median rank {rank} falls among the {beyond} members "
                                  "counted beyond the given values")
-        seg = int(np.searchsorted(ends, rank))
-        if seg % 2:
-            return float(h[seg // 2])
-        g = seg // 2
-
-        def in_gap(p):
-            if g > 0:
-                p = p[p > h[g - 1]]
-            return p[p <= h[g]] if g < h.size else p
-
-        inside = np.concatenate([in_gap(p) for p in singles])
-        j = rank - (int(ends[seg - 1]) if seg else 0) - 1
+        # fewer than rank members lie at or below h[i - 1] < h[i] (none if i == 0)
+        i = bisect.bisect_left(h, True, key=lambda v: members(v) >= rank)
+        if i < h.size and members(h[i], "left") < rank:
+            return float(h[i])
+        # the rank falls among the singles strictly between h[i - 1] and h[i],
+        # taken as a closed float interval that is unbounded where they are missing
+        lo = np.nextafter(h[i - 1], np.inf) if i else -np.inf
+        hi = np.nextafter(h[i], -np.inf) if i < h.size else np.inf
+        inside = np.concatenate([p[(lo <= p) & (p <= hi)] for p in singles])
+        j = rank - (members(h[i - 1]) if i else 0) - 1
         return float(np.partition(inside, j)[j])
 
     if total % 2:

@@ -43,6 +43,13 @@ _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64).reshap
 _VECTOR_K_MAX = 80
 
 
+def _root_seed(seed: int) -> int:
+    """``seed`` if it is a root seed, an integer in [0, 2**64)."""
+    if not 0 <= seed <= _MASK64:
+        raise ParameterError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
+    return seed
+
+
 def _splitmix64(x: int) -> int:
     """One round of the splitmix64 mixer; full avalanche on 64 bits."""
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
@@ -134,9 +141,7 @@ class RandomStream:
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
         if not isinstance(seed, (int, np.integer)):
             raise TypeError("seed must be an integer")
-        self.seed = int(seed)
-        if not 0 <= self.seed <= _MASK64:
-            raise ParameterError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
+        self.seed = _root_seed(int(seed))
         self.path = _path
         key = np.array(_derive_key(self.seed, _path), dtype=np.uint64)
         self._bitgen = np.random.Philox(key=key)

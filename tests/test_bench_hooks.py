@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import cemfit
-from cemfit.datasets import example_laplace, example_normal
+import cemfit.cli
+from cemfit.datasets import dataset_path, example_laplace, example_normal
 
 from censored_samples import random_censoring
 
@@ -146,3 +147,33 @@ def test_each_route_fires_its_hooks_once_per_call(tracing, fit, counts):
         tracer.uninstall()
     seen = tracer.summarize()
     assert {name: seen[name]["count"] for name in counts} == counts
+
+
+@pytest.mark.parametrize("family, route, counts", [
+    ("normal", "em", {"em.fit": 1, "fitting.default_start": 1, "censoring.loglik": 22}),
+    ("normal", "mcem", {"mcem.fit": 1, "fitting.default_start": 1, "censoring.loglik": 3}),
+    ("normal", "direct", {"direct.fit": 1, "fitting.default_start": 1, "censoring.loglik": 6}),
+    ("laplace", "mcem", {"mcem.fit": 1, "fitting.default_start": 1, "censoring.loglik": 3}),
+    ("laplace", "direct", {"direct.fit": 1, "fitting.default_start": 0, "censoring.loglik": 1}),
+    ("rayleigh", "mcem", {"mcem.fit": 1, "fitting.default_start": 1, "censoring.loglik": 3}),
+    ("rayleigh", "direct", {"direct.fit": 1, "fitting.default_start": 0, "censoring.loglik": 1}),
+])
+def test_each_cli_fit_fires_its_hooks_once_per_call(tracing, capsys, family, route, counts):
+    # the CLI reads the file once and validates the sample before the route
+    # validates it again; its one route span must fire whichever name it calls
+    argv = ["fit", "--family", family, "--algorithm", route,
+            "--data", str(dataset_path(f"{family}_type2"))]
+    if route == "mcem":
+        argv += ["--k", "200", "--max-iter", "2"]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cemfit.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    seen = tracer.summarize()
+    # one route span, and none of the other two
+    expected = {"em.fit": 0, "mcem.fit": 0, "direct.fit": 0,
+                "censoring.read": 1, "censoring.validate": 2, **counts}
+    assert {name: seen[name]["count"] for name in expected} == expected

@@ -255,6 +255,30 @@ class TestCsvRoundTrip:
             read_censored_csv(path)
         assert "line 3" in str(err.value)
 
+    @pytest.mark.parametrize("one, zero", [("1.0", "0.0"), ("1e0", "-0.0"), ("1.", "0e5")])
+    def test_delta_written_as_a_float_is_read(self, tmp_path, one, zero):
+        # a float column exports its flags this way (pandas to_csv)
+        path = tmp_path / "floats.csv"
+        path.write_text(f"w,delta\n1.0,{one}\n2.0,{zero}\n")
+        back = read_censored_csv(path)
+        assert_array_equal(back.w, [1.0, 2.0])
+        assert_array_equal(back.delta, [1, 0])
+        assert back.delta.dtype == np.int64
+
+    @pytest.mark.parametrize("cell", ["0.5", "7.0", "2e0", "-1.0", "nan", "inf"])
+    def test_delta_of_another_number_is_refused_by_value(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"w,delta\n1.0,1\n2.0,{cell}\n")
+        with pytest.raises(DataError, match=f"line 3: delta must be 0 or 1, got {float(cell)}$"):
+            read_censored_csv(path)
+
+    @pytest.mark.parametrize("cell", ["yes", "", "1,0", "0x1"])
+    def test_delta_that_is_not_a_number_cannot_be_parsed(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"w,delta\n1.0,1\n2.0,\"{cell}\"\n")
+        with pytest.raises(DataError, match="line 3: cannot parse delta value"):
+            read_censored_csv(path)
+
     def test_non_numeric_value_reported_with_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("w,delta\nabc,1\n")

@@ -147,6 +147,18 @@ class TestFitCommand:
         assert code == 1
         assert "only available for the normal family" in err
 
+    def test_data_with_float_flags_fits_like_integer_flags(self, capsys, tmp_path):
+        # a float delta column, as pandas to_csv writes it, reads as 0 and 1
+        floats = tmp_path / "floats.csv"
+        floats.write_text(Path(NORMAL_CSV).read_text().replace(",1\n", ",1.0\n")
+                          .replace(",0\n", ",0.0\n"))
+        assert ",1.0\n" in floats.read_text() and ",0.0\n" in floats.read_text()
+        fit = ("fit", "--family", "normal", "--data")
+        _, plain, _ = run(capsys, *fit, NORMAL_CSV)
+        code, out, err = run(capsys, *fit, str(floats))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:-1] == plain.splitlines()[1:-1]
+
     def test_empty_data_file_is_an_input_error(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("w,delta\n")

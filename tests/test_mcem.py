@@ -128,8 +128,8 @@ class TestWeightedMedian:
     @pytest.mark.parametrize("k", [1, 2, 4])
     @pytest.mark.parametrize("extra", [0, 1], ids=["even", "odd"])
     def test_singles_against_the_largest_value(self, where, k, extra):
-        # the singles above the largest value are counted by one comparison;
-        # singles equal to it belong to the gap before it
+        # singles equal to the largest value count as members at most it, so
+        # they and it share one rank range; singles above it form the last gap
         rng = np.random.default_rng(5)
         values = np.array([-1.0, 0.5, 2.0])
         draws = {"above": 2.0 + rng.random((3, 7)),
@@ -138,6 +138,24 @@ class TestWeightedMedian:
         singles = [draws[:2], draws[2:, :4 + (extra + k) % 2]]
         assert (3 * k + sum(p.size for p in singles)) % 2 == extra
         assert weighted_median(values, k, singles) == materialized_median(values, k, singles)
+
+    @pytest.mark.parametrize("seed, lands_on", [(0, "value"), (2, "gap")])
+    def test_holds_less_than_one_row_beyond_its_inputs(self, seed, lands_on):
+        # 40 held rows of K = 50_000 draws above bounds below the median, as a
+        # Laplace step holds them; counting them makes no array of their size
+        k = 50_000
+        rng = np.random.default_rng(seed)
+        values = rng.laplace(0.0, 1.0, 200)
+        held = [(b + rng.exponential(1.0, k)).reshape(1, k)
+                for b in rng.uniform(-3.0, -0.2, 40)]
+        tracemalloc.start()
+        try:
+            got = weighted_median(values, k, held)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ("value" if got in values else "gap") == lands_on
+        assert peak < k * 8
 
     @settings(max_examples=300, deadline=None)
     @given(values=st.lists(st.integers(-20, 20), min_size=1, max_size=12),
