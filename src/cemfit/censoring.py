@@ -221,8 +221,8 @@ def ensure_fittable(sample: CensoredSample, family: Family | None = None) -> Non
 def read_censored_csv(path) -> CensoredSample:
     """Read a sample from CSV with header ``w,delta``.
 
-    A delta cell is an integer or any number equal to 0 or 1, such as
-    ``1.0`` or ``0e0``.  Malformed rows raise :class:`DataError` naming the
+    A delta cell is any number equal to 0 or 1, such as ``1``, ``1.0`` or
+    ``0e0``.  Malformed rows raise :class:`DataError` naming the
     offending line.
     """
     w, delta = [], []
@@ -243,14 +243,10 @@ def read_censored_csv(path) -> CensoredSample:
             except ValueError:
                 raise DataError(f"{path}, line {lineno}: cannot parse w value {row[0]!r}") from None
             try:
-                flag = int(row[1])
+                flag = float(row[1])
             except ValueError:
-                # a float column writes its flags as 1.0 and 0.0
-                try:
-                    flag = float(row[1])
-                except ValueError:
-                    raise DataError(f"{path}, line {lineno}: cannot parse delta value "
-                                    f"{row[1]!r}") from None
+                raise DataError(f"{path}, line {lineno}: cannot parse delta value "
+                                f"{row[1]!r}") from None
             if flag not in (0, 1):
                 raise DataError(f"{path}, line {lineno}: delta must be 0 or 1, got {flag}")
             w.append(value)

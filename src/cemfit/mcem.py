@@ -34,6 +34,7 @@ budget.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -90,8 +91,10 @@ def weighted_median(values, k, singles=(), beyond=0) -> float:
     singles = [np.asarray(a, dtype=float).ravel() for a in singles]
     total = k * h.size + sum(p.size for p in singles) + beyond
 
+    @functools.cache
     def members(v, side="right") -> int:
-        """Members at most v, or below v for side "left"."""
+        """Members at most v, or below v for side "left"; each count is taken
+        once, so the two median ranks' bisections share their probes."""
         below = np.less_equal if side == "right" else np.less
         return k * int(np.searchsorted(h, v, side)) + sum(
             int(np.count_nonzero(below(p, v))) for p in singles)
