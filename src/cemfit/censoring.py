@@ -218,39 +218,57 @@ def ensure_fittable(sample: CensoredSample, family: Family | None = None) -> Non
         raise DataError("; ".join(problems))
 
 
+def _not_utf8(path) -> DataError:
+    """The error for a text file that does not decode as UTF-8: it names the
+    line and byte offset of the first byte that does not."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        return DataError(f"{path}, line {line}: byte {data[err.start]:#04x} at offset "
+                         f"{err.start} is not UTF-8")
+    return DataError(f"{path}: not UTF-8 text")
+
+
 def read_censored_csv(path) -> CensoredSample:
     """Read a sample from CSV with header ``w,delta``.
 
     A delta cell is any number equal to 0 or 1, such as ``1``, ``1.0`` or
     ``0e0``.  Malformed rows raise :class:`DataError` naming the
-    offending line.
+    offending line, and so does a byte that is not UTF-8.
     """
     w, delta = [], []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file (expected header 'w,delta')")
-        if [h.strip().lower() for h in header[:2]] != ["w", "delta"]:
-            raise DataError(f"{path}: expected header 'w,delta', got {','.join(header)!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise DataError(f"{path}, line {lineno}: expected two columns 'w,delta'")
-            try:
-                value = float(row[0])
-            except ValueError:
-                raise DataError(f"{path}, line {lineno}: cannot parse w value {row[0]!r}") from None
-            try:
-                flag = float(row[1])
-            except ValueError:
-                raise DataError(f"{path}, line {lineno}: cannot parse delta value "
-                                f"{row[1]!r}") from None
-            if flag not in (0, 1):
-                raise DataError(f"{path}, line {lineno}: delta must be 0 or 1, got {flag}")
-            w.append(value)
-            delta.append(flag)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file (expected header 'w,delta')")
+            if [h.strip().lower() for h in header[:2]] != ["w", "delta"]:
+                raise DataError(f"{path}: expected header 'w,delta', got {','.join(header)!r}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) < 2:
+                    raise DataError(f"{path}, line {lineno}: expected two columns 'w,delta'")
+                try:
+                    value = float(row[0])
+                except ValueError:
+                    raise DataError(f"{path}, line {lineno}: cannot parse w value "
+                                    f"{row[0]!r}") from None
+                try:
+                    flag = float(row[1])
+                except ValueError:
+                    raise DataError(f"{path}, line {lineno}: cannot parse delta value "
+                                    f"{row[1]!r}") from None
+                if flag not in (0, 1):
+                    raise DataError(f"{path}, line {lineno}: delta must be 0 or 1, got {flag}")
+                w.append(value)
+                delta.append(flag)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if not w:
         raise DataError(f"{path}: empty sample")
     return CensoredSample(w, delta)

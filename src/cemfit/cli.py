@@ -15,6 +15,7 @@ import time
 from . import fit
 from .censoring import (
     CensoredSample,
+    _not_utf8,
     ensure_fittable,
     from_type2,
     read_censored_csv,
@@ -153,17 +154,20 @@ def _cmd_fit(args) -> int:
 
 def _cmd_convert_type2(args) -> int:
     values = []
-    with open(args.values, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            token = line.strip()
-            if not token:
-                continue
-            try:
-                values.append(float(token))
-            except ValueError:
-                raise DataError(
-                    f"{args.values}, line {lineno}: cannot parse value {token!r}"
-                ) from None
+    try:
+        with open(args.values, encoding="utf-8-sig") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                token = line.strip()
+                if not token:
+                    continue
+                try:
+                    values.append(float(token))
+                except ValueError:
+                    raise DataError(
+                        f"{args.values}, line {lineno}: cannot parse value {token!r}"
+                    ) from None
+    except UnicodeDecodeError:
+        raise _not_utf8(args.values) from None
     sample = from_type2(values, args.total_n)
     _emit_sample(sample, args.output)
     return 0

@@ -143,6 +143,7 @@ def mills_ratio(a):
     from scipy.special import erfcx
     a = np.asarray(a, dtype=float)
     out = np.empty_like(a)
+    # split by boolean indexing: SciPy 1.17.1's erfc and erfcx with where= corrupt the heap
     pos = a >= 0.0
     if np.any(pos):
         out[pos] = math.sqrt(2.0 / math.pi) / erfcx(a[pos] / _SQRT2)

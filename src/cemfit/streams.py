@@ -30,13 +30,18 @@ _ONE_BITS = np.uint64(0x3FF0000000000000)
 _ONE_MINUS_HALF_GRAIN = 1.0 - 2.0**-53
 
 # Philox4x64-10 (Salmon, Moraes, Dror & Shaw, SC'11) as in NumPy's Philox: the
-# two round multipliers, split into 32-bit halves, and the two Weyl key increments,
-# each shaped (2, 1, 1) to act on the pair of words it belongs to
+# round multipliers of c0 and c2, whole and as 32-bit halves, and the two Weyl
+# key increments, shaped (2, 1, 1) to act on the key pair (k0, k1)
 _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
-_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64).reshape(2, 1, 1)
-_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _S32
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_M0, _M1 = (np.uint64(m) for m in _PHILOX_M)
+_M0_LO, _M1_LO = (np.uint64(m & 0xFFFFFFFF) for m in _PHILOX_M)
+_M0_HI, _M1_HI = (np.uint64(m >> 32) for m in _PHILOX_M)
 _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64).reshape(2, 1, 1)
+# splitmix64's increment and multipliers, and the salt of a key's second word
+_SPLITMIX = [np.uint64(c) for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)]
+_KEY1_SALT = 0xA5A5A5A5A5A5A5A5
 # unit_uniforms draws several units at once below _VECTOR_K_MAX draws per unit;
 # from there up, NumPy's Philox re-keyed per row makes the words faster (measured
 # crossover, BENCH_philox_small_k.json), and RandomStream.uniforms sees every draw
@@ -58,13 +63,16 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _splitmix64_array(x: np.ndarray) -> np.ndarray:
-    """``_splitmix64`` on a uint64 array; products wrap modulo 2**64 alike."""
-    with np.errstate(over="ignore"):
-        x = x + np.uint64(0x9E3779B97F4A7C15)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+def _splitmix64_inplace(x: np.ndarray, scratch: np.ndarray) -> None:
+    """``_splitmix64`` on every word of the uint64 array ``x``, in place; products
+    wrap modulo 2**64 alike.  ``scratch`` is a uint64 array of ``x``'s shape."""
+    x += _SPLITMIX[0]
+    for shift, multiplier in ((30, _SPLITMIX[1]), (27, _SPLITMIX[2])):
+        np.right_shift(x, shift, out=scratch)
+        x ^= scratch
+        x *= multiplier
+    np.right_shift(x, 31, out=scratch)
+    x ^= scratch
 
 
 def _philox_words(keys: np.ndarray, k: int) -> np.ndarray:
@@ -73,26 +81,63 @@ def _philox_words(keys: np.ndarray, k: int) -> np.ndarray:
     Row r equals ``np.random.Philox(key=keys[r]).random_raw(k)``: block j of
     a fresh key is the ten-round Philox4x64 of the counter (j + 1, 0, 0, 0),
     since NumPy's Philox increments its counter before it generates.  The
-    counter words (c0, c2) and (c1, c3) are held as pairs, so each round is
-    one 64 x 64 -> 128-bit product over both multiplied words of every block.
+    counter words are held as the pairs (c0, c2) and (c1, c3), each shaped
+    (2, blocks, n): the unit axis is innermost, so a key broadcasts along
+    contiguous words.  Round 1 is written in closed form, and rounds 2 to 10
+    run in place in seven such arrays.  Each product acts on one contiguous
+    half with a scalar multiplier, which NumPy runs as one flat loop.
     """
     n, blocks = len(keys), -(-k // 4)
-    key = keys.T.reshape(2, n, 1)
-    even = np.zeros((2, n, blocks), np.uint64)  # (c0, c2)
-    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    key = keys.T.reshape(2, 1, n).copy()  # (k0, k1), bumped in place each round
+    # round 1 on (j + 1, 0, 0, 0) gives (k0, 0, hi(M0 (j + 1)) ^ k1, lo(M0 (j + 1)))
+    products = [_PHILOX_M[0] * (j + 1) for j in range(blocks)]
+    even = np.empty((2, blocks, n), np.uint64)  # (c0, c2)
+    even[0] = key[0]
+    np.bitwise_xor(np.array([p >> 64 for p in products], np.uint64)[:, None], key[1],
+                   out=even[1])
     odd = np.zeros_like(even)  # (c1, c3)
-    for r in range(10):
-        if r:
-            key = key + _PHILOX_W
-        # the high word from 32-bit partial products (Hacker's Delight, 8-2)
-        x_lo, x_hi = even & _LO32, even >> _S32
-        t = _PHILOX_M_LO * x_hi + ((_PHILOX_M_LO * x_lo) >> _S32)
-        w = (t & _LO32) + _PHILOX_M_HI * x_lo
-        hi = _PHILOX_M_HI * x_hi + (t >> _S32) + (w >> _S32)
-        # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0)
-        even, odd = hi[::-1] ^ odd ^ key, (_PHILOX_M * even)[::-1]
-    words = np.stack([even[0], odd[0], even[1], odd[1]], axis=2).reshape(n, 4 * blocks)
-    return np.ascontiguousarray(words[:, :k])
+    odd[1] = np.array([p & _MASK64 for p in products], np.uint64)[:, None]
+    # each array with its two halves, made once: a product acts on one half
+    even, odd, spare, (hh, hh0, hh1), (ll, ll0, ll1), (lh, lh0, lh1) = (
+        (x, *x) for x in (even, odd, *(np.empty_like(even) for _ in range(4))))
+    for _ in range(9):
+        key += _PHILOX_W
+        (e, e0, e1), (o, o0, o1), (hl, hl0, hl1) = even, odd, spare
+        # hi(M x) from the four products of 32-bit halves, ll = x_lo M_lo,
+        # lh = x_lo M_hi, hl = x_hi M_lo and hh = x_hi M_hi (Hacker's Delight,
+        # 8-2): t = hl + (ll >> 32) and w = lh + (t & LO32) do not overflow,
+        # and hi = hh + (t >> 32) + (w >> 32)
+        np.bitwise_and(e, _LO32, out=ll)
+        np.right_shift(e, _S32, out=hh)
+        np.multiply(ll0, _M0_HI, out=lh0)
+        np.multiply(ll1, _M1_HI, out=lh1)
+        np.multiply(hh0, _M0_LO, out=hl0)
+        np.multiply(hh1, _M1_LO, out=hl1)
+        ll0 *= _M0_LO
+        ll1 *= _M1_LO
+        hh0 *= _M0_HI
+        hh1 *= _M1_HI
+        ll >>= _S32
+        hl += ll  # t
+        np.bitwise_and(hl, _LO32, out=ll)
+        lh += ll  # w
+        hl >>= _S32
+        lh >>= _S32
+        hh += hl
+        hh += lh  # (hi0, hi1)
+        # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0): the new
+        # (c0, c2) overwrites odd, and the spare array takes (lo1, lo0)
+        o0 ^= hh1
+        o1 ^= hh0
+        o ^= key
+        np.multiply(e0, _M0, out=hl1)
+        np.multiply(e1, _M1, out=hl0)
+        even, odd, spare = odd, spare, even
+    # word i of block j is column 4j + i
+    words = np.empty((n, k), np.uint64)
+    for i, word in enumerate((even[1], odd[1], even[2], odd[2])):
+        words[:, i::4] = word[:len(range(i, k, 4))].T
+    return words
 
 
 def _to_uniforms(raw: np.ndarray) -> np.ndarray:
@@ -111,13 +156,20 @@ def _derive_key(seed: int, path: tuple[int, ...]) -> tuple[int, int]:
     k = _splitmix64(seed)
     for c in path:
         k = _splitmix64(k ^ _splitmix64(c & _MASK64))
-    return k, _splitmix64(k ^ 0xA5A5A5A5A5A5A5A5)
+    return k, _splitmix64(k ^ _KEY1_SALT)
 
 
-def _derive_keys(seed: int, path: tuple[int, ...], last: np.ndarray) -> np.ndarray:
-    """``_derive_key(seed, path + (c,))`` for every c in ``last``, as a (len, 2) uint64 array."""
-    k0 = _splitmix64_array(np.uint64(_derive_key(seed, path)[0]) ^ _splitmix64_array(last))
-    return np.stack([k0, _splitmix64_array(k0 ^ np.uint64(0xA5A5A5A5A5A5A5A5))], axis=1)
+def _derive_keys(key0: int, last: np.ndarray) -> np.ndarray:
+    """``_derive_key(seed, path + (c,))`` for every c in the integer array ``last``,
+    given ``key0 = _derive_key(seed, path)[0]``, as a (len, 2) uint64 array."""
+    k0, k1, scratch = keys = np.empty((3, len(last)), np.uint64)
+    k0[...] = last  # wraps like c & _MASK64
+    _splitmix64_inplace(k0, scratch)
+    k0 ^= np.uint64(key0)
+    _splitmix64_inplace(k0, scratch)
+    np.bitwise_xor(k0, np.uint64(_KEY1_SALT), out=k1)
+    _splitmix64_inplace(k1, scratch)
+    return keys[:2].T
 
 
 class RandomStream:
@@ -143,8 +195,8 @@ class RandomStream:
             raise TypeError("seed must be an integer")
         self.seed = _root_seed(int(seed))
         self.path = _path
-        key = np.array(_derive_key(self.seed, _path), dtype=np.uint64)
-        self._bitgen = np.random.Philox(key=key)
+        self._key = _derive_key(self.seed, _path)
+        self._bitgen = np.random.Philox(key=np.array(self._key, dtype=np.uint64))
         self._rows: RandomStream | None = None  # unit_uniforms' row generator
 
     def __repr__(self) -> str:
@@ -204,7 +256,7 @@ class RandomStream:
             # one element, and the row is handed out without a copy
             rekey(_derive_key(self.seed, self.path + (int(units[0]),)))
             return row.uniforms(k).reshape(1, k)
-        keys = _derive_keys(self.seed, self.path, units.astype(np.uint64))
+        keys = _derive_keys(self._key[0], units)
         if k < _VECTOR_K_MAX:
             return _to_uniforms(_philox_words(keys, k))
         block = np.empty((units.size, k))

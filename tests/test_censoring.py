@@ -296,6 +296,19 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="line 4: delta must be 0 or 1"):
             read_censored_csv(path)
 
+    @pytest.mark.parametrize("head, line, offset", [
+        (b"w,delta\n1.5,1\n2.5", 3, 17),
+        # a byte order mark, and the bad byte past the first 8 KiB that a read decodes
+        (b"\xef\xbb\xbfw,delta\n" + b"1.5,1\n" * 2000 + b"2.5", 2002, 12014),
+    ], ids=["short", "long-with-bom"])
+    def test_byte_that_is_not_utf8_reported_by_line_and_offset(self, tmp_path, head, line,
+                                                                offset):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(head + b"\xe9,0\n")
+        with pytest.raises(DataError, match=f"latin1.csv, line {line}: byte 0xe9 at offset "
+                                            f"{offset} is not UTF-8$"):
+            read_censored_csv(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("w,delta\n")

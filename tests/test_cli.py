@@ -219,6 +219,24 @@ class TestModuleEntryPoint:
             assert f"converged: {'yes' if code == 0 else 'no'}" in proc.stdout
 
 
+    @pytest.mark.parametrize("command, flag", [
+        (["fit", "--family", "normal"], "--data"),
+        (["convert-type2", "--total-n", "3"], "--values"),
+    ], ids=["fit", "convert-type2"])
+    def test_a_file_that_is_not_utf8_is_an_input_error(self, command, flag, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"w,delta\n1.5,1\n2.5\xe9,0\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-m", "cemfit", *command, flag, str(path)],
+                              env=env, cwd=tmp_path, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("cemfit: error:"), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "line 3: byte 0xe9 at offset 17 is not UTF-8" in proc.stderr
+
 class TestLazySpecialImport:
     def test_only_a_normal_fit_imports_scipy(self, tmp_path):
         # a fresh interpreter: this test session has long imported scipy.special

@@ -1,5 +1,7 @@
 """Deterministic substream generator: reproducibility and range contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -185,13 +187,35 @@ class TestVectorPhilox:
         np.array([[0, 0], [2**64 - 1, 2**64 - 1], [0, 2**64 - 1], [2**64 - 1, 0]], np.uint64),
     ])
 
-    @pytest.mark.parametrize("k", [*range(1, 10), streams._VECTOR_K_MAX - 1,
-                                   streams._VECTOR_K_MAX])
+    # round 1 is built per block, and the last block may be partial: every k counts
+    @pytest.mark.parametrize("k", range(streams._VECTOR_K_MAX + 1))
     def test_words_equal_numpy_philox(self, k):
         words = streams._philox_words(self.KEYS, k)
         assert words.shape == (len(self.KEYS), k) and words.flags.c_contiguous
         for row, key in zip(words, self.KEYS):
             assert_array_equal(row, np.random.Philox(key=key).random_raw(k))
+
+    @pytest.mark.parametrize("n", [0, 1], ids=["no-key", "one-key"])
+    def test_no_key_and_one_key(self, n):
+        keys = self.KEYS[len(self.KEYS) - n:]
+        for k in range(streams._VECTOR_K_MAX + 1):
+            words = streams._philox_words(keys, k)
+            assert words.shape == (n, k) and words.flags.c_contiguous
+            for row, key in zip(words, keys):
+                assert_array_equal(row, np.random.Philox(key=key).random_raw(k))
+
+    def test_a_units_normal_chunk_peaks_below_the_stacking_pass(self):
+        # 819 keys at K = 10 is one chunk of a units-normal sweep; the pass that
+        # held (2, units, blocks) counters and stacked its words peaked at 0.434 MB
+        keys = np.random.default_rng(5).integers(0, 2**64, (819, 2), dtype=np.uint64,
+                                                 endpoint=False)
+        tracemalloc.start()
+        try:
+            streams._philox_words(keys, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.434e6
 
     @pytest.mark.parametrize("k", [1, 4, 10, streams._VECTOR_K_MAX - 1, streams._VECTOR_K_MAX])
     @pytest.mark.parametrize("units", [[2**63 + 3], [5, -1, 70_000, 2**63 + 3]],
