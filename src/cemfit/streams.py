@@ -42,9 +42,10 @@ _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64).reshap
 # splitmix64's increment and multipliers, and the salt of a key's second word
 _SPLITMIX = [np.uint64(c) for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)]
 _KEY1_SALT = 0xA5A5A5A5A5A5A5A5
-# unit_uniforms draws several units at once below _VECTOR_K_MAX draws per unit;
-# from there up, NumPy's Philox re-keyed per row makes the words faster (measured
-# crossover, BENCH_philox_small_k.json), and RandomStream.uniforms sees every draw
+# unit_uniforms draws several units at once below _VECTOR_K_MAX draws per unit, and
+# from there up re-keys NumPy's Philox per row, where RandomStream.uniforms sees every
+# draw; re-keying is faster only from about K = 120-160 (ROADMAP item 7), but no
+# workload draws between 80 and there
 _VECTOR_K_MAX = 80
 
 
