@@ -10,6 +10,7 @@ observed order statistic.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import operator
 from functools import cached_property
@@ -218,18 +219,25 @@ def ensure_fittable(sample: CensoredSample, family: Family | None = None) -> Non
         raise DataError("; ".join(problems))
 
 
-def _not_utf8(path) -> DataError:
-    """The error for a text file that does not decode as UTF-8: it names the
-    line and byte offset of the first byte that does not."""
+def _read_text(path) -> io.StringIO:
+    """The file at ``path`` decoded as UTF-8, a leading byte order mark
+    dropped, to be read line by line with line endings as written.  A byte
+    that is not UTF-8 raises :class:`DataError` naming its line and offset."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as err:
         line = data.count(b"\n", 0, err.start) + 1
-        return DataError(f"{path}, line {line}: byte {data[err.start]:#04x} at offset "
-                         f"{err.start} is not UTF-8")
-    return DataError(f"{path}: not UTF-8 text")
+        raise DataError(f"{path}, line {line}: byte {data[err.start]:#04x} at offset "
+                        f"{err.start} is not UTF-8") from None
+    return io.StringIO(text.removeprefix("\ufeff"), newline="")
+
+
+def _blank(row: list[str]) -> bool:
+    """Whether a CSV record holds nothing but whitespace: both CSV readers
+    skip such lines, and count them in later lines' numbers."""
+    return len(row) < 2 and not (row and row[0].strip())
 
 
 def read_censored_csv(path) -> CensoredSample:
@@ -239,36 +247,35 @@ def read_censored_csv(path) -> CensoredSample:
     ``0e0``.  Malformed rows raise :class:`DataError` naming the
     offending line, and so does a byte that is not UTF-8.
     """
+    reader = csv.reader(_read_text(path))
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty file (expected header 'w,delta')")
+    if [h.strip().lower() for h in header[:2]] != ["w", "delta"]:
+        raise DataError(f"{path}: expected header 'w,delta', got {','.join(header)!r}")
     w, delta = [], []
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: empty file (expected header 'w,delta')")
-            if [h.strip().lower() for h in header[:2]] != ["w", "delta"]:
-                raise DataError(f"{path}: expected header 'w,delta', got {','.join(header)!r}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) < 2:
-                    raise DataError(f"{path}, line {lineno}: expected two columns 'w,delta'")
-                try:
-                    value = float(row[0])
-                except ValueError:
-                    raise DataError(f"{path}, line {lineno}: cannot parse w value "
-                                    f"{row[0]!r}") from None
-                try:
-                    flag = float(row[1])
-                except ValueError:
-                    raise DataError(f"{path}, line {lineno}: cannot parse delta value "
-                                    f"{row[1]!r}") from None
-                if flag not in (0, 1):
-                    raise DataError(f"{path}, line {lineno}: delta must be 0 or 1, got {flag}")
-                w.append(value)
-                delta.append(flag)
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+    for row in reader:
+        # reader.line_num is the file line a record ends on: a quoted cell may
+        # span lines
+        if len(row) < 2:
+            if _blank(row):
+                continue
+            raise DataError(f"{path}, line {reader.line_num}: expected two columns 'w,delta'")
+        try:
+            value = float(row[0])
+        except ValueError:
+            raise DataError(f"{path}, line {reader.line_num}: cannot parse w value "
+                            f"{row[0]!r}") from None
+        try:
+            flag = float(row[1])
+        except ValueError:
+            raise DataError(f"{path}, line {reader.line_num}: cannot parse delta value "
+                            f"{row[1]!r}") from None
+        if flag not in (0, 1):
+            raise DataError(f"{path}, line {reader.line_num}: delta must be 0 or 1, "
+                            f"got {flag}")
+        w.append(value)
+        delta.append(flag)
     if not w:
         raise DataError(f"{path}: empty sample")
     return CensoredSample(w, delta)

@@ -15,7 +15,7 @@ import time
 from . import fit
 from .censoring import (
     CensoredSample,
-    _not_utf8,
+    _read_text,
     ensure_fittable,
     from_type2,
     read_censored_csv,
@@ -154,20 +154,14 @@ def _cmd_fit(args) -> int:
 
 def _cmd_convert_type2(args) -> int:
     values = []
-    try:
-        with open(args.values, encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                token = line.strip()
-                if not token:
-                    continue
-                try:
-                    values.append(float(token))
-                except ValueError:
-                    raise DataError(
-                        f"{args.values}, line {lineno}: cannot parse value {token!r}"
-                    ) from None
-    except UnicodeDecodeError:
-        raise _not_utf8(args.values) from None
+    for lineno, line in enumerate(_read_text(args.values), start=1):
+        token = line.strip()
+        if not token:
+            continue
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise DataError(f"{args.values}, line {lineno}: cannot parse value {token!r}") from None
     sample = from_type2(values, args.total_n)
     _emit_sample(sample, args.output)
     return 0

@@ -362,8 +362,8 @@ class Laplace(ParamSet):
             + sum over c >= mu of (c - mu) / sigma**2
             + sum over c < mu of z e**z / (sigma (2 - e**z)),  z = (c - mu) / sigma,
 
-        added as (sum(|y - mu|) + sum(t) - m sigma) / sigma**2 with t the bound
-        terms times sigma**2.
+        added as ((sum(|y - mu|) + sum(t)) / sigma - m) / sigma with t the
+        bound terms times sigma**2, so that no sigma**2 underflows to 0.
         """
         mu, sigma = self.mu, self.sigma
         x, c = np.sort(sample.uncensored), np.sort(sample.censor_times)
@@ -372,7 +372,7 @@ class Laplace(ParamSet):
         t = np.where(c >= mu, c - mu, (c - mu) * e / (2.0 - e))
         spread = exact_sum(np.concatenate([np.abs(x - mu), t]))
         return ((max(right, 0.0) + min(left, 0.0)) / sigma,
-                (spread - x.size * sigma) / (sigma * sigma))
+                (spread / sigma - x.size) / sigma)
 
     @classmethod
     def moment_start(cls, y: np.ndarray) -> "Laplace":

@@ -16,7 +16,7 @@ reuses it on draw averages.
 
 Both EM routes run one sweep loop, :func:`_iterate`, and differ only in the
 ``step`` and ``stop`` they pass it.  :func:`fit_em` passes the exact sweep
-``m_step(e_step(...))`` and stops once both reported parameters move less
+``m_step(sample, *e_step(...))`` and stops once both reported parameters move less
 than ``tol`` times the new sigma; :func:`cemfit.mcem.fit_mcem` passes its
 family's Monte Carlo step on the sweep's own substream and a rule that never
 stops, so its budget ends it.
@@ -25,47 +25,35 @@ stops, so its budget ends it.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .censoring import CensoredSample, ensure_fittable, observed_loglik
 from .distributions import Normal, ParamSet, exact_sum, mills_ratio
 from .exceptions import DegenerateDataError, ParameterError
 from .fitting import Algorithm, FitConfig, FitTrace, TraceRow, default_start
 
-__all__ = ["NormalSuffStats", "e_step", "m_step", "fit_em"]
+__all__ = ["e_step", "m_step", "fit_em"]
 
 
-@dataclass(frozen=True)
-class NormalSuffStats:
-    """Expected complete-data sufficient statistics.
-
-    ``t1``/``t2`` are the observed sum and sum of squares; ``s1``/``s2`` are
-    the conditional expectations contributed by the censored units.
-    """
-
-    t1: float
-    t2: float
-    s1: float
-    s2: float
-
-
-def e_step(sample: CensoredSample, params: Normal) -> NormalSuffStats:
-    """Expected sufficient statistics given the sample and current parameters."""
+def e_step(sample: CensoredSample, params: Normal) -> tuple[float, float]:
+    """The censored units' expected sum and sum of squares (s1, s2) given
+    the current parameters."""
     bounds = sample.censor_times
-    t1, t2, _ = sample.sums
     mu, sigma = params.mu, params.sigma
     h = mills_ratio((bounds - mu) / sigma)
     s1 = exact_sum(mu + sigma * h)
     s2 = exact_sum(mu * mu + params.sigma2 + (mu + bounds) * sigma * h)
-    return NormalSuffStats(t1, t2, s1, s2)
+    return s1, s2
 
 
-def m_step(stats: NormalSuffStats, n: int) -> Normal:
-    """Complete-data MLE at the expected sufficient statistics."""
+def m_step(sample: CensoredSample, s1: float, s2: float) -> Normal:
+    """Complete-data MLE at the observed totals of ``sample`` plus the
+    censored units' expected sum ``s1`` and sum of squares ``s2``."""
+    t1, t2, _ = sample.sums
+    n = sample.n
     if n < 1:
         raise ParameterError("n must be at least 1")
-    mean = (stats.t1 + stats.s1) / n
-    var = (stats.t2 + stats.s2) / n - mean * mean
+    mean = (t1 + s1) / n
+    var = (t2 + s2) / n - mean * mean
     if not (var > 0.0):
         raise DegenerateDataError(
             f"update produced nonpositive variance {var:.3e}; sample is degenerate"
@@ -109,5 +97,5 @@ def fit_em(sample: CensoredSample, config: FitConfig) -> FitTrace:
         delta = max(abs(a - b) for a, b in zip(new.reported(), old.reported()))
         return delta < config.tol * new.sigma
 
-    return _iterate(sample, config, lambda params, s: m_step(e_step(sample, params), sample.n),
+    return _iterate(sample, config, lambda params, s: m_step(sample, *e_step(sample, params)),
                     moved_less_than_tol)

@@ -8,7 +8,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from .censoring import CensoredSample
+from .censoring import CensoredSample, _blank, _read_text
 from .distributions import _CLASSES, Family, ParamSet
 from .exceptions import DataError, ParameterError
 from .streams import _root_seed
@@ -157,23 +157,24 @@ class FitTrace:
 def read_trace_csv(path) -> list[tuple[float, ...]]:
     """Parse a trace CSV back into numeric rows (s, params..., loglik).
 
-    A cell that is not a number raises :class:`DataError` naming its line.
+    A cell that is not a number raises :class:`DataError` naming its line,
+    and so does a byte that is not UTF-8.
     """
+    reader = csv.reader(_read_text(path))
+    if next(reader, None) is None:
+        raise DataError(f"{path}: empty file (expected a trace header)")
     out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) is None:
-            raise DataError(f"{path}: empty file (expected a trace header)")
-        for row in reader:
-            values = []
-            for cell in row:
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise DataError(f"{path}, line {reader.line_num}: cannot parse trace value "
-                                    f"{cell!r}") from None
-            if values:
-                out.append(tuple(values))
+    for row in reader:
+        if _blank(row):
+            continue
+        values = []
+        for cell in row:
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise DataError(f"{path}, line {reader.line_num}: cannot parse trace value "
+                                f"{cell!r}") from None
+        out.append(tuple(values))
     return out
 
 

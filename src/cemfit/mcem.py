@@ -45,7 +45,7 @@ import numpy as np
 # ensure_fittable, observed_loglik, default_start: unused, patched by perfbench/tracing.py
 from .censoring import CensoredSample, ensure_fittable, observed_loglik
 from .distributions import Family, Laplace, Normal, Rayleigh, exact_sum
-from .em import NormalSuffStats, _iterate, m_step
+from .em import _iterate, m_step
 from .exceptions import DegenerateDataError, ParameterError
 from .fitting import Algorithm, FitConfig, FitTrace, _integer, default_start
 from .streams import RandomStream
@@ -211,10 +211,9 @@ def mcem_step_normal(sample: CensoredSample, params: Normal, k: int,
     ``stream`` must be scoped to the current iteration (fresh draws every
     sweep); unit substreams are derived from it.
     """
-    t1, t2, _ = sample.sums
     acc = MonteCarloAccumulator.from_blocks(
         _draw_blocks(sample, k, stream, sample_truncated_normal, params))
-    return m_step(NormalSuffStats(t1, t2, acc.v1 / k, acc.v2 / k), sample.n)
+    return m_step(sample, acc.v1 / k, acc.v2 / k)
 
 
 def mcem_step_laplace(sample: CensoredSample, params: Laplace, k: int,

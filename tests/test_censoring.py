@@ -296,6 +296,14 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="line 4: delta must be 0 or 1"):
             read_censored_csv(path)
 
+    def test_bad_row_line_counts_file_lines_not_records(self, tmp_path):
+        # a quoted cell spanning two lines and a blank line put the bad
+        # record on file line 5, though it is only the fourth record
+        path = tmp_path / "quoted.csv"
+        path.write_text('w,delta\n"1.5\n",1\n\n2.0,7\n')
+        with pytest.raises(DataError, match="quoted.csv, line 5: delta must be 0 or 1"):
+            read_censored_csv(path)
+
     @pytest.mark.parametrize("head, line, offset", [
         (b"w,delta\n1.5,1\n2.5", 3, 17),
         # a byte order mark, and the bad byte past the first 8 KiB that a read decodes

@@ -676,6 +676,23 @@ class TestScaleFreeConvergence:
                      "--data", str(data)]) == 0
         assert "converged: yes" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("e", [-600, -1000])
+    def test_laplace_fit_at_a_tiny_scale(self, e, tmp_path, capsys):
+        # sigma * sigma underflows to 0 below about 1e-162, so the scale
+        # score once divided by zero; scaling by 2**e is exact, so the fit is
+        # the unscaled one times 2**e
+        base = example_laplace()
+        sample = CensoredSample(base.w * 2.0**e, base.delta)
+        want = fit_direct(base, direct_config(Family.LAPLACE)).final.reported()
+        report = fit_direct(sample, direct_config(Family.LAPLACE))
+        assert report.final.reported() == tuple(v * 2.0**e for v in want)
+        assert report.converged
+        data = tmp_path / "tiny.csv"
+        write_censored_csv(data, sample)
+        assert main(["fit", "--family", "laplace", "--algorithm", "direct",
+                     "--data", str(data)]) == 0
+        assert "converged: yes" in capsys.readouterr().out
+
 
 def central_difference_score(sample, params, rel=1e-6):
     """Central differences of ``observed_loglik`` in the reported coordinates,

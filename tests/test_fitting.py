@@ -134,6 +134,18 @@ class TestTrace:
         with pytest.raises(DataError, match=r"trace\.csv, line 5: cannot parse trace "):
             read_trace_csv(path)
 
+    def test_byte_that_is_not_utf8_names_the_line_and_offset(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"s,mu,sigma,loglik\n0,1.0,2.0,-3.5\n1,1.1\xe9,2.0,-3.4\n")
+        with pytest.raises(DataError, match=r"trace\.csv, line 3: byte 0xe9 at offset 38 "
+                                            r"is not UTF-8$"):
+            read_trace_csv(path)
+
+    def test_whitespace_only_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("s,mu,sigma,loglik\n0,1.0,2.0,-3.5\n   \n\n1,1.1,2.5,-3.4\n")
+        assert read_trace_csv(path) == [(0.0, 1.0, 2.0, -3.5), (1.0, 1.1, 2.5, -3.4)]
+
     def test_csv_header_and_shape(self):
         text = self._toy_trace().to_csv()
         lines = text.strip().split("\n")
