@@ -30,13 +30,7 @@ from .censoring import (
 from .direct import fit_direct
 from .distributions import Family, Laplace, Normal, Rayleigh, make_params
 from .em import fit_em
-from .exceptions import (
-    DataError,
-    DegenerateDataError,
-    NumericRangeError,
-    ParameterError,
-    TailUnderflowError,
-)
+from .exceptions import DataError, DegenerateDataError, ParameterError
 from .fitting import DEFAULT_SEED, Algorithm, FitConfig, FitTrace, TraceRow, read_trace_csv
 from .mcem import fit_mcem
 
@@ -64,10 +58,8 @@ __all__ = [
     "FitTrace",
     "Laplace",
     "Normal",
-    "NumericRangeError",
     "ParameterError",
     "Rayleigh",
-    "TailUnderflowError",
     "TraceRow",
     "ensure_fittable",
     "fit",

@@ -228,7 +228,8 @@ def _read_text(path) -> io.StringIO:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
-        line = data.count(b"\n", 0, err.start) + 1
+        # \r\n, \r and \n end lines, as in csv; "." stands in for the bad byte
+        line = len((data[:err.start] + b".").splitlines())
         raise DataError(f"{path}, line {line}: byte {data[err.start]:#04x} at offset "
                         f"{err.start} is not UTF-8") from None
     return io.StringIO(text.removeprefix("\ufeff"), newline="")

@@ -22,7 +22,7 @@ from .censoring import (
     write_censored_csv,
 )
 from .distributions import Family, make_params
-from .exceptions import DataError, NumericRangeError, ParameterError
+from .exceptions import DataError, ParameterError
 from .fitting import DEFAULT_SEED, Algorithm, FitConfig, FitTrace
 from .streams import RandomStream
 
@@ -105,10 +105,8 @@ def _print_trace(trace: FitTrace) -> None:
     names = trace.header()
     print("  ".join(f"{name:>10}" for name in names))
     for row in trace.rows:
-        cells = [f"{row.s:>10d}"]
-        cells += [f"{v:>10.4f}" for v in row.params.reported()]
-        cells.append(f"{row.loglik:>10.4f}")
-        print("  ".join(cells))
+        values = (*row.params.reported(), row.loglik)
+        print("  ".join([f"{row.s:>10d}"] + [f"{v:>10.4f}" for v in values]))
 
 
 def _cmd_fit(args) -> int:
@@ -204,7 +202,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (DataError, ParameterError, NumericRangeError, OSError) as err:
+    except (DataError, ParameterError, OSError) as err:
         print(f"cemfit: error: {err}", file=sys.stderr)
         return 1
 

@@ -37,6 +37,7 @@ import numpy as np
 
 from .censoring import CensoredSample, ensure_fittable, observed_loglik
 from .distributions import Family, Laplace, Normal, ParamSet, Rayleigh, exact_sum
+from .em import _start_loglik
 from .exceptions import ParameterError
 from .fitting import Algorithm, FitConfig, FitTrace, TraceRow, default_start
 
@@ -60,7 +61,7 @@ def loglik_gradient_norm(sample: CensoredSample, params: ParamSet) -> float:
     return math.hypot(*params.reported_score(sample))
 
 
-def _fit_laplace(sample: CensoredSample) -> tuple[Laplace, int, bool]:
+def _fit_laplace(sample: CensoredSample) -> tuple[Laplace, int]:
     """The exact maximum of the Laplace location profile (module docstring).
 
     The first exact value whose right slope is <= 0 is a flat top's lower end
@@ -69,7 +70,7 @@ def _fit_laplace(sample: CensoredSample) -> tuple[Laplace, int, bool]:
     is >= 0.  Otherwise the root lies in the smooth segment below it, or above
     every exact value, bracketed by steps that start at the scale and double,
     and bisection ends at two adjacent floats: the one whose slope is nearer
-    0 is kept.  Returns the fit, the number of profile evaluations and True.
+    0 is kept.  Returns the fit and the number of profile evaluations.
     """
     x, c = np.sort(sample.uncensored), np.sort(sample.censor_times)
     evals = 0
@@ -85,9 +86,9 @@ def _fit_laplace(sample: CensoredSample) -> tuple[Laplace, int, bool]:
         kink, (left, right) = profile(float(x[at]))
         if right == 0.0 and not np.any(c <= kink.mu):
             top = float(sample.w[sample.w > kink.mu].min())
-            return profile(0.5 * (kink.mu + top))[0], evals, True
+            return profile(0.5 * (kink.mu + top))[0], evals
         if left >= 0.0:
-            return kink, evals, True
+            return kink, evals
         (low, (_, rise)), high, fall = profile(float(x[at - 1])), kink, left
     else:
         low, (_, rise) = profile(float(x[-1]))
@@ -103,7 +104,7 @@ def _fit_laplace(sample: CensoredSample) -> tuple[Laplace, int, bool]:
             low, rise = point, slope
         else:
             high, fall = point, slope
-    return (low if rise < -fall else high), evals, True
+    return (low if rise < -fall else high), evals
 
 
 # Newton steps a fit may take; near the maximum each step about doubles the
@@ -156,7 +157,7 @@ def _fit_newton(sample: CensoredSample, start: Normal) -> tuple[Normal, float, i
     likelihood has no maximum.
     """
     params, point = start, start.to_concave()
-    loglik = observed_loglik(sample, params)
+    loglik = _start_loglik(sample, params)
     for steps in range(_NEWTON_MAX_STEPS):
         step, decrement = _newton_direction(params, sample)
         if step is None:
@@ -200,10 +201,10 @@ def fit_direct(sample: CensoredSample, config: FitConfig) -> FitTrace:
     else:
         if family is Family.LAPLACE:
             ensure_fittable(sample, family)
-            argmax, iterations, ended = _fit_laplace(sample)
+            argmax, iterations = _fit_laplace(sample)
         else:
-            argmax, iterations, ended = rayleigh_mle_closed_form(sample), 0, True
-        loglik = observed_loglik(sample, argmax)
+            argmax, iterations = rayleigh_mle_closed_form(sample), 0
+        loglik, ended = observed_loglik(sample, argmax), True
     grad = loglik_gradient_norm(sample, argmax)
     # the score sums n terms in units of 1/scale, so this reads alike at any n or scale
     converged = ended and grad * argmax.reported()[-1] / sample.n <= 1e-6

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
+import numpy as np
+
 from .censoring import CensoredSample, ensure_fittable, observed_loglik
 from .distributions import Normal, ParamSet, exact_sum, mills_ratio
 from .exceptions import DegenerateDataError, ParameterError
@@ -61,6 +63,19 @@ def m_step(sample: CensoredSample, s1: float, s2: float) -> Normal:
     return Normal(mean, var)
 
 
+def _start_loglik(sample: CensoredSample, start: ParamSet) -> float:
+    """The observed log-likelihood at ``start``, which ``direct`` reads too; a
+    fit has nothing to climb from a start where it is not finite or overflows."""
+    try:
+        with np.errstate(all="ignore"):
+            loglik = observed_loglik(sample, start)
+    except (OverflowError, ValueError):
+        loglik = np.nan
+    if not np.isfinite(loglik):
+        raise ParameterError(f"start {start!r} has no finite log-likelihood on this sample")
+    return loglik
+
+
 def _iterate(sample: CensoredSample, config: FitConfig,
              step: Callable[[ParamSet, int], ParamSet],
              stop: Callable[[ParamSet, ParamSet], bool]) -> FitTrace:
@@ -71,7 +86,7 @@ def _iterate(sample: CensoredSample, config: FitConfig,
     module, where ``perfbench/tracing.py`` wraps them."""
     ensure_fittable(sample, config.family)
     params = config.start if config.start is not None else default_start(sample, config.family)
-    trace = FitTrace(rows=[TraceRow(0, params, observed_loglik(sample, params))])
+    trace = FitTrace(rows=[TraceRow(0, params, _start_loglik(sample, params))])
     for s in range(1, config.resolved_max_iter() + 1):
         new = step(params, s)
         trace.rows.append(TraceRow(s, new, observed_loglik(sample, new)))

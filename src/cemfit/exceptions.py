@@ -12,11 +12,3 @@ class DataError(ValueError):
 class DegenerateDataError(DataError):
     """An M-step produced a nonpositive variance estimate."""
 
-
-class NumericRangeError(ArithmeticError):
-    """A computation left the floating-point range it is accurate in; only its
-    subclass :class:`TailUnderflowError`, from the truncated normal sampler, is raised."""
-
-
-class TailUnderflowError(NumericRangeError):
-    """Truncation point leaves too little tail mass for stable sampling."""

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .distributions import Laplace, Normal, Rayleigh, _maybe_float, _open_unit, norm_ppf, norm_sf
-from .exceptions import ParameterError, TailUnderflowError
+from .exceptions import ParameterError
 
 __all__ = [
     "sample_truncated_normal",
@@ -92,10 +92,9 @@ def sample_truncated_normal(params: Normal, lower, u):
     tail = norm_sf(r)
     if np.any(tail <= 1e-15):
         deep = int(np.argmax(r))
-        raise TailUnderflowError(
-            f"truncation point leaves tail mass {tail[deep, 0]:.3e} "
-            f"(standardized bound {r[deep, 0]:.3g}); too deep for stable inversion"
-        )
+        raise ParameterError(f"truncation point leaves tail mass {tail[deep, 0]:.3e} "
+                             f"(standardized bound {r[deep, 0]:.3g}); too deep for "
+                             "stable inversion")
 
     # each branch holds one array of its rows' size, p, inverted in place
     # into the draws x

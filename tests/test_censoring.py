@@ -306,9 +306,12 @@ class TestCsvRoundTrip:
 
     @pytest.mark.parametrize("head, line, offset", [
         (b"w,delta\n1.5,1\n2.5", 3, 17),
+        # a bare \r ends a line for csv, and so for the count; \r\n ends one line
+        (b"w,delta\r1.5,1\r2.5", 3, 17),
+        (b"w,delta\r1.5,1\r\n2.5", 3, 18),
         # a byte order mark, and the bad byte past the first 8 KiB that a read decodes
         (b"\xef\xbb\xbfw,delta\n" + b"1.5,1\n" * 2000 + b"2.5", 2002, 12014),
-    ], ids=["short", "long-with-bom"])
+    ], ids=["short", "cr", "cr-and-crlf", "long-with-bom"])
     def test_byte_that_is_not_utf8_reported_by_line_and_offset(self, tmp_path, head, line,
                                                                 offset):
         path = tmp_path / "latin1.csv"

@@ -17,6 +17,7 @@ from cemfit.datasets import dataset_path
 from cemfit.fitting import read_trace_csv
 
 import reference_values as rv
+from test_fitting import NO_LOGLIK_STARTS
 
 NORMAL_CSV = str(dataset_path("normal_type2"))
 LAPLACE_CSV = str(dataset_path("laplace_type2"))
@@ -218,6 +219,33 @@ class TestModuleEntryPoint:
         else:
             assert f"converged: {'yes' if code == 0 else 'no'}" in proc.stdout
 
+    @pytest.mark.parametrize("family, route, start, k, max_iter",
+                             NO_LOGLIK_STARTS + [("normal", "mcem", None, None, None)])
+    def test_a_refusal_is_one_error_line(self, family, route, start, k, max_iter, tmp_path):
+        # the starts with no finite log-likelihood, and MCEM on a sample whose
+        # one bound is 40.7 sd above the moment start
+        args = ["--family", family, "--algorithm", route]
+        if start is None:
+            data = tmp_path / "deep.csv"
+            data.write_text("w,delta\n" + "".join(f"{j / 50!r},1\n" for j in range(1, 50))
+                            + "12.0,0\n")
+        else:
+            data = dataset_path(f"{family}_type2")
+            args.append("--start=" + ",".join(map(repr, start)))
+        args += ["--data", str(data)]
+        if k is not None:
+            args += ["--k", str(k), "--max-iter", str(max_iter)]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-m", "cemfit", "fit", *args], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("cemfit: error:"), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert ("has no finite log-likelihood" if start else
+                "tail mass 0.000e+00 (standardized bound 40.7)") in proc.stderr
+
 
     @pytest.mark.parametrize("command, flag", [
         (["fit", "--family", "normal"], "--data"),
@@ -329,6 +357,13 @@ class TestConvertType2:
         code, _, err = run(capsys, "convert-type2", "--values", str(values), "--total-n", "3")
         assert code == 1
         assert "line 3: cannot parse value 'bogus'" in err
+
+    def test_bad_byte_under_bare_cr_line_ends_names_its_line(self, capsys, tmp_path):
+        values = tmp_path / "values.txt"
+        values.write_bytes(b"1.5\r2.0\r\xe9\r")
+        code, _, err = run(capsys, "convert-type2", "--values", str(values), "--total-n", "5")
+        assert code == 1
+        assert err.endswith("values.txt, line 3: byte 0xe9 at offset 8 is not UTF-8\n")
 
     def test_more_values_than_units_is_an_error(self, capsys, tmp_path):
         values = tmp_path / "values.txt"

@@ -1,6 +1,7 @@
 """Fit configuration, trace container, and trace CSV round trips."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import cemfit
 from cemfit.censoring import CensoredSample, observed_loglik
 from cemfit.datasets import dataset_path
 from cemfit.direct import loglik_gradient_norm
-from cemfit.distributions import Family, Laplace, Normal, Rayleigh
+from cemfit.distributions import Family, Laplace, Normal, Rayleigh, make_params
 from cemfit.exceptions import DataError, ParameterError
 from cemfit.fitting import (
     DEFAULT_SEED,
@@ -208,6 +209,40 @@ class TestOneResultType:
             assert trace.gradient_norm is None
 
     def test_package_exports_one_result_type(self):
-        assert len(cemfit.__all__) == 27
+        assert len(cemfit.__all__) == 25
         assert "OptimizerReport" not in cemfit.__all__
         assert not hasattr(cemfit, "OptimizerReport")
+
+    def test_every_exported_error_is_a_data_or_a_parameter_error(self):
+        errors = [name for name in cemfit.__all__ if name.endswith("Error")]
+        assert errors == ["DataError", "DegenerateDataError", "ParameterError"]
+        for name in errors:
+            assert issubclass(getattr(cemfit, name), (DataError, ParameterError))
+
+
+# (family, route, start, k, max_iter): starts whose observed log-likelihood on
+# the bundled sample is -inf or overflows, each once a traceback or a
+# misleading message
+NO_LOGLIK_STARTS = [
+    ("normal", "em", (1e308, 1e308), None, None),
+    ("normal", "direct", (1e308, 1e308), None, None),
+    ("normal", "mcem", (1e308, 1e308), 10, 2),
+    ("normal", "direct", (1e200, 1.0), None, None),
+    ("laplace", "mcem", (1e308, 1e308), 1, 2),
+    ("rayleigh", "mcem", (1e-308,), 10, 2),
+    ("normal", "em", (1e200, 1.0), None, None),
+    ("normal", "direct", (1e155, 1e-300), None, None),
+]
+
+
+class TestStartWithNoFiniteLoglik:
+    @pytest.mark.parametrize("family, route, start, k, max_iter", NO_LOGLIK_STARTS)
+    def test_is_refused_naming_the_start(self, family, route, start, k, max_iter):
+        family = Family(family)
+        sample = cemfit.read_censored_csv(dataset_path(f"{family.value}_type2"))
+        params = make_params(family, start)
+        config = FitConfig(family, Algorithm(route), start=params,
+                           **({"k": k, "max_iter": max_iter} if k else {}))
+        with pytest.raises(ParameterError, match=rf"^start {re.escape(repr(params))} has no "
+                                                 r"finite log-likelihood on this sample$"):
+            cemfit.fit(sample, config)
