@@ -30,7 +30,7 @@ from .censoring import (
 from .direct import fit_direct
 from .distributions import Family, Laplace, Normal, Rayleigh, make_params
 from .em import fit_em
-from .exceptions import DataError, DegenerateDataError, ParameterError
+from .exceptions import DataError, ParameterError
 from .fitting import DEFAULT_SEED, Algorithm, FitConfig, FitTrace, TraceRow, read_trace_csv
 from .mcem import fit_mcem
 
@@ -52,7 +52,6 @@ __all__ = [
     "CensoredSample",
     "DataError",
     "DEFAULT_SEED",
-    "DegenerateDataError",
     "Family",
     "FitConfig",
     "FitTrace",

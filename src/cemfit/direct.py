@@ -37,7 +37,7 @@ import numpy as np
 
 from .censoring import CensoredSample, ensure_fittable, observed_loglik
 from .distributions import Family, Laplace, Normal, ParamSet, Rayleigh, exact_sum
-from .em import _start_loglik
+from .em import _loglik_at
 from .exceptions import ParameterError
 from .fitting import Algorithm, FitConfig, FitTrace, TraceRow, default_start
 
@@ -120,24 +120,24 @@ def _newton_direction(params: Normal,
                       sample: CensoredSample) -> tuple[tuple[float, float] | None, float]:
     """The Newton step (-H)^-1 g in the concave coordinates at ``params`` and
     the Newton decrement g . step; ``(None, nan)`` where -H is not positive
-    definite to working precision.  The derivative arrays live only in here,
-    so none is held while the line search evaluates the likelihood."""
+    definite to working precision or g . step is not finite.  The derivative
+    arrays live only in here, so none is held while the line search runs."""
     g, ((a, b), (_, d)) = params.concave_derivatives(sample)
     det = a * d - b * b
     if not (a < 0.0 and det > 0.0):
         return None, math.nan
     step = ((b * g[1] - d * g[0]) / det, (b * g[0] - a * g[1]) / det)
-    return step, math.fsum(gi * si for gi, si in zip(g, step))
+    # one correctly rounded addition, as math.fsum of two terms, but inf, not a raise, on overflow
+    decrement = g[0] * step[0] + g[1] * step[1]
+    return (step, decrement) if math.isfinite(decrement) else (None, math.nan)
 
 
 def _try_point(sample: CensoredSample, point: tuple[float, float]):
     """Parameters at concave coordinates ``point`` and their log-likelihood;
-    ``(None, -inf)`` if they are invalid, as the Armijo test then rejects
-    them (it rejects a nan log-likelihood as well)."""
+    ``(None, -inf)``, which the Armijo test rejects, where ``_loglik_at`` refuses them."""
     try:
-        params = Normal.from_concave(*point)
-        return params, observed_loglik(sample, params)
-    except (ParameterError, OverflowError):
+        return _loglik_at(sample, "trial", lambda: Normal.from_concave(*point))
+    except ParameterError:
         return None, -math.inf
 
 
@@ -156,8 +156,7 @@ def _fit_newton(sample: CensoredSample, start: Normal) -> tuple[Normal, float, i
     steps or where the Hessian turns singular, as on a sample whose
     likelihood has no maximum.
     """
-    params, point = start, start.to_concave()
-    loglik = _start_loglik(sample, params)
+    (params, loglik), point = _loglik_at(sample, "start", lambda: start), start.to_concave()
     for steps in range(_NEWTON_MAX_STEPS):
         step, decrement = _newton_direction(params, sample)
         if step is None:
@@ -180,6 +179,7 @@ def _fit_newton(sample: CensoredSample, start: Normal) -> tuple[Normal, float, i
     return params, loglik, _NEWTON_MAX_STEPS, False
 
 
+@np.errstate(all="ignore")
 def fit_direct(sample: CensoredSample, config: FitConfig) -> FitTrace:
     """Maximize the censored-data log-likelihood: damped Newton from
     ``config.start`` (default: the moment start) for the normal family, the
@@ -190,6 +190,7 @@ def fit_direct(sample: CensoredSample, config: FitConfig) -> FitTrace:
     ``gradient_norm * scale / n`` (scale: the last reported coordinate) is at
     most 1e-6; a Newton search cut at its step cap or a singular Hessian is
     reported unconverged at its last point, as an EM trace is; nothing raises.
+    NumPy's warnings are off: a non-finite value ends the search or is refused.
     """
     if config.algorithm is not Algorithm.DIRECT:
         raise ParameterError(f"fit_direct called with algorithm {config.algorithm}")

@@ -335,20 +335,25 @@ class Laplace(ParamSet):
         """Maximizer in sigma of the log-likelihood at location ``mu`` (``x``, ``c``
         sorted).  In tau = 1/sigma the score m/tau - s + sum of a/(2e**(a tau) - 1)
         over a = mu - c > 0 (s sums |x - mu| and the other c - mu) is convex and
-        decreasing: s/m if no a, else Newton from m/s (score >= 0) rises to the root."""
+        decreasing: s/m if no a, else Newton from m/s (score >= 0) rises to the root,
+        on a and s over 2**p (p the exponent of s/m): tau**2 then stays finite and
+        nonzero in any units, and the power of two changes no bit where it already did."""
         below = int(np.searchsorted(c, mu, "left"))
         m, a = x.size, mu - c[:below]
         s = exact_sum(np.concatenate([np.abs(x - mu), c[below:] - mu]))
+        if not below:
+            return s / m
+        p = math.frexp(s / m)[1]
+        a, s = np.ldexp(a, -p), math.ldexp(s, -p)
         tau = m / s
-        while below:
+        while True:
             e = np.exp(-a * tau)
             ar = a * e / (2.0 - e)
             step = (math.fsum((m / tau, -s, exact_sum(ar)))
                     / (m / (tau * tau) + 2.0 * float(np.sum(a * ar / (2.0 - e)))))
             if not tau + step > tau:
-                return 1.0 / tau
+                return math.ldexp(1.0 / tau, p)
             tau += step
-        return s / m
 
     def reported_score(self, sample) -> tuple[float, float]:
         """Score of the censored log-likelihood of ``sample`` in (mu, sigma).

@@ -19,18 +19,20 @@ Both EM routes run one sweep loop, :func:`_iterate`, and differ only in the
 ``m_step(sample, *e_step(...))`` and stops once both reported parameters move less
 than ``tol`` times the new sigma; :func:`cemfit.mcem.fit_mcem` passes its
 family's Monte Carlo step on the sweep's own substream and a rule that never
-stops, so its budget ends it.
+stops, so its budget ends it.  The start and each sweep's update, and the
+direct route's Newton trials, are checked by one guard, :func:`_loglik_at`.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 import numpy as np
 
 from .censoring import CensoredSample, ensure_fittable, observed_loglik
 from .distributions import Normal, ParamSet, exact_sum, mills_ratio
-from .exceptions import DegenerateDataError, ParameterError
+from .exceptions import ParameterError
 from .fitting import Algorithm, FitConfig, FitTrace, TraceRow, default_start
 
 __all__ = ["e_step", "m_step", "fit_em"]
@@ -55,41 +57,42 @@ def m_step(sample: CensoredSample, s1: float, s2: float) -> Normal:
     if n < 1:
         raise ParameterError("n must be at least 1")
     mean = (t1 + s1) / n
-    var = (t2 + s2) / n - mean * mean
-    if not (var > 0.0):
-        raise DegenerateDataError(
-            f"update produced nonpositive variance {var:.3e}; sample is degenerate"
-        )
-    return Normal(mean, var)
+    return Normal(mean, (t2 + s2) / n - mean * mean)
 
 
-def _start_loglik(sample: CensoredSample, start: ParamSet) -> float:
-    """The observed log-likelihood at ``start``, which ``direct`` reads too; a
-    fit has nothing to climb from a start where it is not finite or overflows."""
+def _loglik_at(sample: CensoredSample, label: str,
+               build: Callable[[], ParamSet]) -> tuple[ParamSet, float]:
+    """``build()`` (the start, a sweep's update or a Newton trial) and its observed
+    log-likelihood.  An iterate that is no valid parameter set, or whose log-likelihood
+    overflows or is not finite, is refused by one ``ParameterError`` led by ``label``."""
+    params = None
     try:
-        with np.errstate(all="ignore"):
-            loglik = observed_loglik(sample, start)
-    except (OverflowError, ValueError):
-        loglik = np.nan
-    if not np.isfinite(loglik):
-        raise ParameterError(f"start {start!r} has no finite log-likelihood on this sample")
-    return loglik
+        params = build()
+        loglik = observed_loglik(sample, params)
+    except (ArithmeticError, ValueError) as err:
+        if params is None:
+            raise ParameterError(f"{label} {err}") from None
+        loglik = math.nan
+    if not math.isfinite(loglik):
+        raise ParameterError(f"{label} {params!r} has no finite log-likelihood on this sample")
+    return params, loglik
 
 
+@np.errstate(all="ignore")
 def _iterate(sample: CensoredSample, config: FitConfig,
              step: Callable[[ParamSet, int], ParamSet],
              stop: Callable[[ParamSet, ParamSet], bool]) -> FitTrace:
     """The sweep loop of both EM routes: row 0 is the start, sweep s appends
-    ``step(params, s)``, and the run ends converged once ``stop(new, old)``
-    holds, else after ``config.resolved_max_iter()`` sweeps.  It looks up
-    ``ensure_fittable``, ``default_start`` and ``observed_loglik`` in this
-    module, where ``perfbench/tracing.py`` wraps them."""
+    ``step(params, s)``, and the run ends converged once ``stop(new, old)`` holds, else
+    after ``config.resolved_max_iter()`` sweeps.  NumPy's warnings are off: every
+    non-finite value they announce is refused by name.  It looks up ``ensure_fittable``,
+    ``default_start`` and ``observed_loglik`` here, where ``perfbench/tracing.py`` wraps them."""
     ensure_fittable(sample, config.family)
     params = config.start if config.start is not None else default_start(sample, config.family)
-    trace = FitTrace(rows=[TraceRow(0, params, _start_loglik(sample, params))])
+    trace = FitTrace(rows=[TraceRow(0, *_loglik_at(sample, "start", lambda: params))])
     for s in range(1, config.resolved_max_iter() + 1):
-        new = step(params, s)
-        trace.rows.append(TraceRow(s, new, observed_loglik(sample, new)))
+        new, loglik = _loglik_at(sample, f"sweep {s}:", lambda: step(params, s))
+        trace.rows.append(TraceRow(s, new, loglik))
         if stop(new, params):
             trace.converged = True
             break

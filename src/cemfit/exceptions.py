@@ -7,8 +7,3 @@ class ParameterError(ValueError):
 
 class DataError(ValueError):
     """A censored sample violates an invariant required for fitting."""
-
-
-class DegenerateDataError(DataError):
-    """An M-step produced a nonpositive variance estimate."""
-

@@ -46,7 +46,7 @@ import numpy as np
 from .censoring import CensoredSample, ensure_fittable, observed_loglik
 from .distributions import Family, Laplace, Normal, Rayleigh, exact_sum
 from .em import _iterate, m_step
-from .exceptions import DegenerateDataError, ParameterError
+from .exceptions import ParameterError
 from .fitting import Algorithm, FitConfig, FitTrace, _integer, default_start
 from .streams import RandomStream
 from .truncated import (
@@ -243,10 +243,7 @@ def mcem_step_laplace(sample: CensoredSample, params: Laplace, k: int,
     loc = weighted_median(y, k, held, beyond=k * (bounds.size - int(np.count_nonzero(near))))
     far = _draw_blocks(sample, k, stream, sample_truncated_laplace, params, rows=~near)
     dev = MonteCarloAccumulator.abs_deviation(chain(held, far), loc)
-    scale = (exact_sum(np.abs(y - loc)) + dev / k) / sample.n
-    if not (scale > 0.0):
-        raise DegenerateDataError(f"update produced nonpositive scale {scale:.3e}")
-    return Laplace(loc, scale)
+    return Laplace(loc, (exact_sum(np.abs(y - loc)) + dev / k) / sample.n)
 
 
 def mcem_step_rayleigh(sample: CensoredSample, params: Rayleigh, k: int,
@@ -255,10 +252,7 @@ def mcem_step_rayleigh(sample: CensoredSample, params: Rayleigh, k: int,
     the draws are summed."""
     v2 = _fsum_rows(list(map(_row_square_sums, _draw_blocks(
         sample, k, stream, sample_truncated_rayleigh, params))))
-    b2 = (sample.sums[1] + v2 / k) / (2.0 * sample.n)
-    if not (b2 > 0.0):
-        raise DegenerateDataError(f"update produced nonpositive squared scale {b2:.3e}")
-    return Rayleigh(math.sqrt(b2))
+    return Rayleigh(math.sqrt((sample.sums[1] + v2 / k) / (2.0 * sample.n)))
 
 
 _STEPS = {

@@ -90,7 +90,8 @@ def sample_truncated_normal(params: Normal, lower, u):
     lower, u, shape = _as_rows(lower, u)
     r = (lower - mu) / sigma
     tail = norm_sf(r)
-    if np.any(tail <= 1e-15):
+    # below 2**-969, tail * (1 - u) with 1 - u >= 2**-53 would leave the normal doubles
+    if np.any(tail < 2.0**-969):
         deep = int(np.argmax(r))
         raise ParameterError(f"truncation point leaves tail mass {tail[deep, 0]:.3e} "
                              f"(standardized bound {r[deep, 0]:.3g}); too deep for "

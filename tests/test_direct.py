@@ -336,6 +336,14 @@ class TestProfileScale:
         want = mp_profile_scale(mu, y, c)
         assert Laplace.profile_scale(mu, y, c) == pytest.approx(want, rel=4.5e-16, abs=0)
 
+    @pytest.mark.parametrize("e", [-900, -600, 600, 900])
+    def test_scales_by_a_power_of_two_bit_for_bit(self, e):
+        # tau**2 underflows or overflows at these scales; the scaled Newton does not see it
+        for seed in (36, 1, 2):
+            mu, y, c = profile_scale_case(seed)
+            scaled = Laplace.profile_scale(math.ldexp(mu, e), np.ldexp(y, e), np.ldexp(c, e))
+            assert scaled == math.ldexp(Laplace.profile_scale(mu, y, c), e)
+
     def test_no_bound_below_is_closed_form(self):
         sample = example_laplace()
         y, c = np.sort(sample.uncensored), np.sort(sample.censor_times)
@@ -579,6 +587,43 @@ class TestNonConvergence:
         assert main(["fit", "--family", family.value, "--algorithm", "direct",
                      "--data", str(dataset_path(f"{family.value}_type2"))]) == 2
         assert "converged: no" in capsys.readouterr().out
+
+
+# samples on which a direct search once raised mid-run: a Newton decrement
+# whose product g * step overflows (ValueError: -inf + inf in fsum), and a
+# Laplace profile scale whose tau**2 underflowed to 0 (ZeroDivisionError)
+NEWTON_OVERFLOW = CensoredSample([2.585474207743773e-79, 3.415167637007913e+140], [1, 0])
+LAPLACE_TINY_TAU = CensoredSample(
+    [1.372004807840177e+197, 3.0218579787780517e+49, 4.920910225986716e+104], [1, 1, 0])
+
+
+class TestOverflowInTheSearch:
+    def test_an_overflowing_decrement_reads_as_a_singular_hessian(self):
+        start = default_start(NEWTON_OVERFLOW, Family.NORMAL)
+        step, decrement = cemfit.direct._newton_direction(start, NEWTON_OVERFLOW)
+        assert step is None and math.isnan(decrement)
+
+    def test_newton_ends_unconverged_at_finite_values(self, tmp_path, capsys):
+        report = cemfit.fit(NEWTON_OVERFLOW, direct_config(Family.NORMAL))
+        assert not report.converged
+        assert all(map(math.isfinite, report.final.reported()))
+        assert math.isfinite(report.loglik) and math.isfinite(report.gradient_norm)
+        data = tmp_path / "overflow.csv"
+        write_censored_csv(data, NEWTON_OVERFLOW)
+        assert main(["fit", "--family", "normal", "--algorithm", "direct",
+                     "--data", str(data)]) == 2
+        assert "converged: no" in capsys.readouterr().out
+
+    def test_laplace_fit_at_a_tiny_tau_is_exact(self, tmp_path, capsys):
+        # the conftest check holds the scale to the exact profile root
+        report = cemfit.fit(LAPLACE_TINY_TAU, direct_config(Family.LAPLACE))
+        assert report.converged
+        assert report.final.mu == 1.372004807840177e+197
+        data = tmp_path / "tiny-tau.csv"
+        write_censored_csv(data, LAPLACE_TINY_TAU)
+        assert main(["fit", "--family", "laplace", "--algorithm", "direct",
+                     "--data", str(data)]) == 0
+        capsys.readouterr()
 
 
 def no_maximum_sample():

@@ -13,11 +13,7 @@ from cemfit.datasets import example_normal
 from cemfit.direct import loglik_gradient_norm
 from cemfit.distributions import Family, Normal
 from cemfit.em import e_step, fit_em, m_step
-from cemfit.exceptions import (
-    DataError,
-    DegenerateDataError,
-    ParameterError,
-)
+from cemfit.exceptions import DataError, ParameterError
 from cemfit.fitting import Algorithm, FitConfig
 
 import reference_values as rv
@@ -106,8 +102,9 @@ class TestMStep:
         assert f"{mu:.4f}" == "1.7422"
         assert f"{sigma:.4f}" == "0.0791"
 
-    def test_degenerate_stats_raise(self):
-        with pytest.raises(DegenerateDataError):
+    def test_zero_variance_update_is_not_a_parameter_set(self):
+        # the update's variance is 0: Normal refuses it by field and value
+        with pytest.raises(ParameterError, match="^sigma2 must be positive, got 0.0$"):
             m_step(CensoredSample([1.0] * 4, [1] * 4), 0.0, 0.0)
 
 

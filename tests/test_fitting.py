@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cemfit
 from cemfit.censoring import CensoredSample, observed_loglik
@@ -209,13 +211,13 @@ class TestOneResultType:
             assert trace.gradient_norm is None
 
     def test_package_exports_one_result_type(self):
-        assert len(cemfit.__all__) == 25
+        assert len(cemfit.__all__) == 24
         assert "OptimizerReport" not in cemfit.__all__
         assert not hasattr(cemfit, "OptimizerReport")
 
     def test_every_exported_error_is_a_data_or_a_parameter_error(self):
         errors = [name for name in cemfit.__all__ if name.endswith("Error")]
-        assert errors == ["DataError", "DegenerateDataError", "ParameterError"]
+        assert errors == ["DataError", "ParameterError"]
         for name in errors:
             assert issubclass(getattr(cemfit, name), (DataError, ParameterError))
 
@@ -246,3 +248,43 @@ class TestStartWithNoFiniteLoglik:
         with pytest.raises(ParameterError, match=rf"^start {re.escape(repr(params))} has no "
                                                  r"finite log-likelihood on this sample$"):
             cemfit.fit(sample, config)
+
+
+# every (family, route) pair a fit accepts
+ROUTES = [(Family.NORMAL, Algorithm.EM)] + [
+    (family, route) for family in Family for route in (Algorithm.MCEM, Algorithm.DIRECT)]
+
+
+@st.composite
+def wild_samples(draw):
+    """2 to 30 values, log-uniform over 10**+-200, Cauchy magnitudes or integer
+    ties; each censored with chance 2/5, and at least one exact."""
+    n = draw(st.integers(2, 30))
+    kind = draw(st.sampled_from(["log-uniform", "cauchy", "ties"]))
+    if kind == "log-uniform":
+        w = [10.0 ** e for e in draw(st.lists(st.floats(-200.0, 200.0), min_size=n, max_size=n))]
+    elif kind == "cauchy":
+        u = draw(st.lists(st.floats(1e-9, 1.0 - 1e-9), min_size=n, max_size=n))
+        w = [abs(math.tan(math.pi * (v - 0.5))) for v in u]
+    else:
+        w = [float(v) for v in draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))]
+    delta = draw(st.lists(st.sampled_from([1, 1, 1, 0, 0]), min_size=n, max_size=n))
+    delta[draw(st.integers(0, n - 1))] = 1
+    return CensoredSample(w, delta)
+
+
+class TestCrashFreedom:
+    """No sample makes a fit from its default start crash: each ends at
+    finite values or is refused as a ``DataError`` or a ``ParameterError``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(wild_samples())
+    def test_every_route_ends_finite_or_refuses(self, sample):
+        for family, route in ROUTES:
+            try:
+                trace = cemfit.fit(sample, FitConfig(family, route, k=20, max_iter=20))
+            except (DataError, ParameterError):
+                continue
+            for row in trace.rows:
+                assert all(map(math.isfinite, (*row.params.reported(), row.loglik))), \
+                    (family, route, row)

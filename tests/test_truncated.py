@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -208,9 +209,21 @@ class TestSupportAndGuards:
             lower = r + 5.0  # shift into the Rayleigh support
             assert np.all(sample_truncated_rayleigh(Rayleigh(1.0), lower, u) > lower)
 
+    @pytest.mark.parametrize("r", [9.0, 20.0, 36.0])
+    def test_deep_tail_draws_match_mpmath(self, r):
+        # the survival branch inverts tail * (1 - u) as long as that product
+        # is a normal double, up to about 36.4 sd
+        u = np.append(U_GRID, 1.0 - 2.0**-53)
+        x = sample_truncated_normal(Normal(0.0, 1.0), r, u)
+        with mpmath.workdps(40):
+            def sf(t):
+                return mpmath.erfc(t / mpmath.sqrt(2)) / 2
+            for xi, ui in zip(x.tolist(), u.tolist()):
+                log_target = mpmath.log((1 - mpmath.mpf(ui)) * sf(mpmath.mpf(r)))
+                exact = mpmath.findroot(lambda t: mpmath.log(sf(t)) - log_target, r + 1.0)
+                assert abs(xi - exact) <= 1e-15 * exact, (ui, xi)
+
     def test_tail_underflow_raises(self):
-        with pytest.raises(ParameterError):
-            sample_truncated_normal(Normal(0.0, 1.0), 9.0, 0.5)
         with pytest.raises(ParameterError):
             sample_truncated_normal(Normal(0.0, 1.0), 40.0, 0.5)
 
