@@ -112,6 +112,26 @@ class CensoredSample:
         y, c = self._uncensored, self._censor_times
         return exact_sum(y), exact_sum(y * y), exact_sum(c * c)
 
+    @cached_property
+    def _ascending_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stable ascending order of ``censor_times`` and the bounds in that
+        order, read-only and computed on first use: the normal family's Mills
+        ratio runs on ascending bounds, and the Laplace profile searches them."""
+        order = np.argsort(self._censor_times, kind="stable")
+        bounds = self._censor_times[order]
+        for a in (order, bounds):
+            a.setflags(write=False)
+        return order, bounds
+
+    @cached_property
+    def _ascending_exact(self) -> np.ndarray:
+        """``np.sort`` of the exact values, read-only and computed on first use.
+        Not a stable order: where -0.0 and 0.0 both occur, ``np.sort`` places
+        them as it always has, and a Laplace fit may return one as its location."""
+        y = np.sort(self._uncensored)
+        y.setflags(write=False)
+        return y
+
     def to_csv(self) -> str:
         """Serialize with header ``w,delta``; ``repr`` keeps values round-tripping exactly."""
         lines = ["w,delta"] + [f"{float(v)!r},{int(d)}" for v, d in zip(self._w, self._delta)]

@@ -72,7 +72,7 @@ def _fit_laplace(sample: CensoredSample) -> tuple[Laplace, int]:
     and bisection ends at two adjacent floats: the one whose slope is nearer
     0 is kept.  Returns the fit and the number of profile evaluations.
     """
-    x, c = np.sort(sample.uncensored), np.sort(sample.censor_times)
+    x, (_, c) = sample._ascending_exact, sample._ascending_bounds
     evals = 0
 
     def profile(mu: float) -> tuple[Laplace, tuple[float, float]]:

@@ -31,7 +31,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .censoring import CensoredSample, ensure_fittable, observed_loglik
-from .distributions import Normal, ParamSet, exact_sum, mills_ratio
+from .distributions import Normal, ParamSet, _mills_ratio_ascending, exact_sum
 from .exceptions import ParameterError
 from .fitting import Algorithm, FitConfig, FitTrace, TraceRow, default_start
 
@@ -40,10 +40,14 @@ __all__ = ["e_step", "m_step", "fit_em"]
 
 def e_step(sample: CensoredSample, params: Normal) -> tuple[float, float]:
     """The censored units' expected sum and sum of squares (s1, s2) given
-    the current parameters."""
-    bounds = sample.censor_times
+    the current parameters.
+
+    The hazard runs on the sample's cached ascending bounds, which split its
+    two branches with no mask; both sums are :func:`exact_sum`, correctly
+    rounded in any order, so the sorted order changes no bit."""
+    _, bounds = sample._ascending_bounds
     mu, sigma = params.mu, params.sigma
-    h = mills_ratio((bounds - mu) / sigma)
+    h = _mills_ratio_ascending((bounds - mu) / sigma)
     s1 = exact_sum(mu + sigma * h)
     s2 = exact_sum(mu * mu + params.sigma2 + (mu + bounds) * sigma * h)
     return s1, s2

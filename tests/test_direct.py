@@ -144,6 +144,19 @@ class TestLaplaceDirect:
         report = fit_direct(sample, direct_config(Family.LAPLACE))
         assert report.final.mu == 0.5 * (y[9] + y[10])
 
+    @pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zero_location_is_the_one_np_sort_puts_first(self, zeros):
+        # the maximum is the kink at the two zeros; the fit reads the exact
+        # values in np.sort's order, which need not be stable, and the trace
+        # shows the zero that order puts first, as when each call sorted
+        w = [*zeros, -3.0, -2.0, -1.0, 1.0, 2.0, 10.0]
+        sample = CensoredSample(w, [1, 1, 1, 1, 1, 1, 1, 0])
+        first = np.sort(np.array(w[:7]))[3]
+        assert first == 0.0
+        trace = fit_direct(sample, direct_config(Family.LAPLACE)).to_csv()
+        assert trace == ("s,mu,sigma,loglik\n"
+                         f"4,{first:.17g},2.7142857142857144,-19.534879255257451\n")
+
     @pytest.mark.parametrize("start", [Laplace(-40.0, 1e-3), Laplace(60.0, 1e3)], ids=str)
     def test_the_start_is_not_read(self, start):
         sample = example_laplace()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cemfit.distributions
 from cemfit.distributions import _EXACT_MIN_TERMS, exact_sum
 
 TINY = 5e-324            # smallest subnormal
@@ -57,7 +58,8 @@ class TestEqualsFsum:
         assert exact_outcome(a) == fsum_outcome(a)
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("n", [_EXACT_MIN_TERMS - 1, _EXACT_MIN_TERMS, 4999])
+    @pytest.mark.parametrize("n", [_EXACT_MIN_TERMS - 1, _EXACT_MIN_TERMS, _EXACT_MIN_TERMS + 1,
+                                   4999])
     def test_both_sides_of_the_threshold(self, kind, n):
         a = bulk(kind, n, np.random.default_rng(n))
         assert exact_outcome(a) == fsum_outcome(a)
@@ -97,3 +99,62 @@ class TestSpecialValues:
     def test_overflowing_total_raises_overflow_error(self):
         with pytest.raises(OverflowError):
             exact_sum(np.full(1500, 1e308))
+
+
+@pytest.fixture
+def certified(monkeypatch):
+    """The outcomes of ``_certified_total`` in the calls that follow: a total
+    where the bound proved the rounding after one round, None where the
+    rounds went on."""
+    outcomes = []
+    real = cemfit.distributions._certified_total
+
+    def spy(t, r, e):
+        outcomes.append(real(t, r, e))
+        return outcomes[-1]
+
+    monkeypatch.setattr(cemfit.distributions, "_certified_total", spy)
+    return outcomes
+
+
+class TestCertificate:
+    """Where one extraction round ends the sum and where the rounds go on, the
+    result is ``math.fsum``'s bit for bit."""
+
+    def test_half_ulp_tie_rounds_to_even(self, certified):
+        # 1 + 2048 * 2**-64 = 1 + 2**-53 lies halfway between 1 and its successor
+        a = np.array([1.0] + [2.0 ** -64] * 2048)
+        assert repr(exact_sum(a)) == repr(math.fsum(a.tolist())) == "1.0"
+        assert certified == [None]
+
+    @pytest.mark.parametrize("offset", range(-6, 11))
+    def test_power_of_two_total(self, certified, offset):
+        # 2 + offset * 2**-55: the gap below 2 is 8 * 2**-55 and the gap above
+        # 16 * 2**-55, so offsets -4 and 8 are ties, and 4 to 7 are within half
+        # the upper gap but not half the lower one: the bound must not prove those
+        a = np.array([2.0] + [offset * 2.0 ** -66] * 2048)
+        assert repr(exact_sum(a)) == repr(math.fsum(a.tolist()))
+        assert len(certified) == 1
+        if offset in (-4, 4, 5, 6, 7, 8):
+            assert certified == [None]
+
+    @pytest.mark.parametrize("tail", [[], [1e-300], [3e-310, 1e-310], [1e-20] * 10])
+    def test_cancellation_to_zero_and_tiny_totals(self, certified, tail):
+        x = np.random.default_rng(1).normal(0.0, 1e3, 1000)
+        a = np.random.default_rng(2).permutation(np.concatenate([x, -x, tail]))
+        assert repr(exact_sum(a)) == repr(math.fsum(a.tolist()))
+        assert certified == [None]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_sums_near_the_overflow_edge(self, certified, sign):
+        # 2046 terms below 2**1012: 2**e = 2**1023, and the total is about 8.6e307
+        a = sign * np.random.default_rng(3).uniform(4.0e304, 4.38e304, 2046)
+        total = exact_sum(a)
+        assert repr(total) == repr(math.fsum(a.tolist()))
+        assert abs(total) > 8.5e307 and certified == [total]
+
+    def test_loglik_terms_end_after_one_round(self, certified):
+        a = bulk("loglik", 20_000, np.random.default_rng(11))
+        total = exact_sum(a)
+        assert repr(total) == repr(math.fsum(a.tolist()))
+        assert certified == [total]
